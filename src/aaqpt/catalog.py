@@ -35,9 +35,7 @@ def max_entangled(d: int, normalized: bool = True):
     """
     if d < 2:
         raise ParameterOutOfRangeError(f"need d >= 2, got {d}")
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0
+    phi = np.eye(d, dtype=complex).reshape(-1)
     if not normalized:
         return _projector(phi)
     return bipartite(_projector(phi) / d, d, d)

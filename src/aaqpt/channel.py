@@ -121,13 +121,6 @@ def apply_extended(ch: KrausChannel, s: BipartiteState, tol: float = DEFAULT_TOL
     return bipartite(out, s.dim_a, s.dim_b, tol=tol)
 
 
-def _max_entangled_vector(d: int) -> np.ndarray:
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0
-    return phi
-
-
 def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     """Validate a raw matrix as a Choi matrix: Hermitian, PSD, trace d,
     and with identity marginal on the input factor (trace preservation)."""
@@ -153,12 +146,9 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
 
 def choi_state(ch: KrausChannel) -> ChoiMatrix:
     """Choi matrix of a channel (unnormalized convention, trace d)."""
-    phi = _max_entangled_vector(ch.dim)
-    c = np.zeros((ch.dim**2, ch.dim**2), dtype=complex)
-    for k in ch.kraus:
-        v = tensor(k, np.eye(ch.dim)) @ phi
-        c += np.outer(v, v.conj())
-    return make_choi(c)
+    # (K (x) I)|phi> is the row vectorization of K
+    vecs = [k.reshape(-1) for k in ch.kraus]
+    return make_choi(sum(np.outer(v, v.conj()) for v in vecs))
 
 
 def apply_via_choi(choi: ChoiMatrix, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:

@@ -10,6 +10,7 @@ validation tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import serialize
-from .catalog import horodecki, max_entangled, probe_states, sigma_e
+from .catalog import PROBE_NAMES_QUBIT, horodecki, max_entangled, probe_states, sigma_e
 from .channel import predict_output
 from .errors import AaqptError, FileFormatError, NotFaithfulError
 from .extraction import extract, reachable_report
@@ -30,8 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NOT_FAITHFUL = 3
 EXIT_IO = 4
-
-PROBE_CHOICES = ("0", "1", "plus", "minus", "L", "R")
 
 _CATALOG = {
     "bell2": ("maximally entangled two-qubit state", ()),
@@ -59,7 +58,7 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _catalog_state(name: str, args, tol: float) -> BipartiteState:
+def _catalog_state(name: str, args) -> BipartiteState:
     if name == "bell2":
         return max_entangled(2)
     if name == "bell3":
@@ -73,11 +72,11 @@ def _catalog_state(name: str, args, tol: float) -> BipartiteState:
     )
 
 
-def _resolve_state(args, tol: float) -> BipartiteState:
+def _resolve_state(args) -> BipartiteState:
     if getattr(args, "file", None):
-        return serialize.state_from_json(_load_json(args.file), tol=tol)
+        return serialize.state_from_json(_load_json(args.file), tol=_validation_tolerance())
     if getattr(args, "catalog", None):
-        return _catalog_state(args.catalog, args, tol)
+        return _catalog_state(args.catalog, args)
     raise AaqptError("provide a state via --file or --catalog")
 
 
@@ -86,7 +85,7 @@ def _sig(x: float) -> str:
 
 
 def cmd_faithful(args) -> CommandResult:
-    state = _resolve_state(args, _validation_tolerance())
+    state = _resolve_state(args)
     verdict = is_faithful(state, threshold=args.tol)
     payload = serialize.verdict_to_json(verdict)
     lines = [
@@ -103,7 +102,7 @@ def cmd_faithful(args) -> CommandResult:
 
 
 def cmd_entangle_check(args) -> CommandResult:
-    state = _resolve_state(args, _validation_tolerance())
+    state = _resolve_state(args)
     ccnr = ccnr_sum(state)
     ppt_min = ppt_min_eigenvalue(state)
     entangled = ccnr > 1 + 1e-9 or ppt_min < -1e-9
@@ -148,10 +147,10 @@ def cmd_predict(args) -> CommandResult:
     elif args.probe:
         if m.dim != 2:
             raise AaqptError("named probes are two-dimensional; use --probe-file")
-        probe = probe_states(2)[PROBE_CHOICES.index(args.probe)]
+        probe = probe_states(2)[PROBE_NAMES_QUBIT.index(args.probe)]
     else:
         raise AaqptError("provide a probe via --probe or --probe-file")
-    out = predict_output(m, probe, tol=args.tol if args.tol else 1e-7)
+    out = predict_output(m, probe, tol=args.tol)
     payload = serialize.density_to_json(out)
     human = "\n".join(
         [
@@ -183,7 +182,7 @@ def cmd_experiment(args) -> CommandResult:
         f"  F(output) = {_sig(report.fidelity_out.mean)} +/- {_sig(report.fidelity_out.band)}",
         "  probe-output fidelities (extracted map vs reference map):",
     ]
-    for name in PROBE_CHOICES:
+    for name in PROBE_NAMES_QUBIT:
         mb = report.probe_fidelities[name]
         lines.append(f"    {name:>5}: {_sig(mb.mean)} +/- {_sig(mb.band)}")
     return CommandResult(EXIT_OK, payload, "\n".join(lines))
@@ -205,7 +204,7 @@ def cmd_bound_sweep(args) -> CommandResult:
                 "a": a,
                 "kernel_dimension": rep.kernel_dimension,
                 "ppt_min_eigenvalue": ppt_min_eigenvalue(state),
-                "ccnr_sum": ccnr_sum(state),
+                "ccnr_sum": rep.spectrum.sum,
                 "singular_values": [float(v) for v in rep.spectrum.values],
             }
         )
@@ -226,7 +225,6 @@ def cmd_bound_sweep(args) -> CommandResult:
 
 
 def cmd_catalog(args) -> CommandResult:
-    tol = _validation_tolerance()
     if not args.name:
         rows = [
             {"name": name, "description": desc, "parameters": list(params)}
@@ -237,7 +235,7 @@ def cmd_catalog(args) -> CommandResult:
             params = f" (parameters: {', '.join(row['parameters'])})" if row["parameters"] else ""
             lines.append(f"  {row['name']:>10}: {row['description']}{params}")
         return CommandResult(EXIT_OK, rows, "\n".join(lines))
-    state = _catalog_state(args.name, args, tol)
+    state = _catalog_state(args.name, args)
     payload = serialize.state_to_json(state)
     human = (
         f"{args.name}: {state.dim_a} x {state.dim_b} state, "
@@ -253,14 +251,9 @@ def _format_matrix(m: np.ndarray) -> str:
     return "\n".join(rows)
 
 
-def _add_state_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--file", help="bipartite state JSON file")
-    parser.add_argument("--catalog", help="named catalog state (see `aaqpt catalog`)")
-    parser.add_argument("--p", type=float, default=0.5, help="parameter for sigmaE")
-    parser.add_argument("--a", type=float, default=0.5, help="parameter for horodecki")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="aaqpt",
         description="Faithfulness tests, channel extraction and the tomography experiment simulator.",
@@ -268,14 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit the JSON payload instead of text")
     parser.add_argument("--out", help="also write the JSON payload to this file")
     sub = parser.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--file", help="bipartite state JSON file")
+    source.add_argument("--catalog", help="named catalog state (see `aaqpt catalog`)")
+    catalog_params = argparse.ArgumentParser(add_help=False)
+    catalog_params.add_argument("--p", type=float, default=0.5, help="parameter for sigmaE")
+    catalog_params.add_argument("--a", type=float, default=0.5, help="parameter for horodecki")
+    state_source = [source, catalog_params]
 
-    p = sub.add_parser("faithful", help="decide whether a state is faithful")
-    _add_state_source(p)
+    p = sub.add_parser("faithful", parents=state_source, help="decide whether a state is faithful")
     p.add_argument("--tol", type=float, help="zero-singular-value threshold override")
     p.set_defaults(func=cmd_faithful)
 
-    p = sub.add_parser("entangle-check", help="CCNR and PPT entanglement tests")
-    _add_state_source(p)
+    p = sub.add_parser("entangle-check", parents=state_source, help="CCNR and PPT entanglement tests")
     p.set_defaults(func=cmd_entangle_check)
 
     p = sub.add_parser("extract", help="extract channel information from a state pair")
@@ -287,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="apply an extracted map to a probe state")
     p.add_argument("m", help="superoperator (or extraction result) JSON file")
-    p.add_argument("--probe", choices=PROBE_CHOICES, help="named qubit probe")
+    p.add_argument("--probe", choices=PROBE_NAMES_QUBIT, help="named qubit probe")
     p.add_argument("--probe-file", help="probe density matrix JSON file")
-    p.add_argument("--tol", type=float, help="physicality tolerance for the prediction")
+    p.add_argument("--tol", type=float, default=1e-7, help="physicality tolerance for the prediction")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("experiment", help="run the simulated tomography experiment")
@@ -306,10 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated parameter values in (0, 1)")
     p.set_defaults(func=cmd_bound_sweep)
 
-    p = sub.add_parser("catalog", help="list catalog states or export one")
+    p = sub.add_parser("catalog", parents=[catalog_params], help="list catalog states or export one")
     p.add_argument("name", nargs="?", help="state to export (omit to list)")
-    p.add_argument("--p", type=float, default=0.5, help="parameter for sigmaE")
-    p.add_argument("--a", type=float, default=0.5, help="parameter for horodecki")
     p.set_defaults(func=cmd_catalog)
 
     return parser

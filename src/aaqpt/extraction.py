@@ -35,7 +35,7 @@ from .channel import (
 from .errors import DimensionMismatchError, NotFaithfulError
 from .catalog import max_entangled, probe_states
 from .qstate import BipartiteState, trace_distance, _frozen
-from .realignment import SingularSpectrum, default_threshold, realign, _svd
+from .realignment import SingularSpectrum, realign, _spectrum, _svd
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,15 @@ def extract(
     r_in = realign(input_state)
     r_out = realign(output_state)
     u, s, vh = _svd(r_in, compute_uv=True, full_matrices=False)
-    tau = default_threshold(float(s[0]) if s.size else 0.0, r_in.shape[0]) \
-        if threshold is None else float(threshold)
-    rank = int(np.count_nonzero(s > tau))
-    spectrum = SingularSpectrum(
-        values=_frozen(s.copy()), sum=float(s.sum()), rank=rank, threshold=tau
-    )
+    spectrum = _spectrum(s, r_in.shape[0], threshold)
+    rank = spectrum.rank
     # rank d_a^2 makes the solve exact and unique even for d_a != d_b:
     # the realigned input then has a right inverse
     required = input_state.dim_a ** 2
     if mode == "strict" and rank < required:
         raise NotFaithfulError(required - rank)
-    inv_s = 1.0 / np.where(s > tau, s, np.inf)
+    inv_s = np.zeros_like(s)
+    inv_s[:rank] = 1.0 / s[:rank]
     m = (r_out @ (vh.conj().T * inv_s)) @ u.conj().T
     residual = float(np.abs(r_out - m @ r_in).max())
     m_op = Superoperator(dim=input_state.dim_a, matrix=_frozen(m))
@@ -150,16 +147,10 @@ def reachable_report(
     """
     r_in = realign(input_state)
     u, s, _ = _svd(r_in, compute_uv=True)
-    tau = default_threshold(float(s[0]) if s.size else 0.0, r_in.shape[0]) \
-        if threshold is None else float(threshold)
-    rank = int(np.count_nonzero(s > tau))
-    spectrum = SingularSpectrum(
-        values=_frozen(s.copy()), sum=float(s.sum()), rank=rank, threshold=tau
-    )
+    spectrum = _spectrum(s, r_in.shape[0], threshold)
     d_a = input_state.dim_a
-    kernel_cols = [k for k in range(u.shape[1]) if k >= s.size or s[k] <= tau]
     basis = tuple(
-        _frozen(u[:, k].reshape(d_a, d_a).copy()) for k in kernel_cols
+        _frozen(col.reshape(d_a, d_a).copy()) for col in u[:, spectrum.rank:].T
     )
     return ReachableReport(
         spectrum=spectrum,

@@ -172,12 +172,11 @@ def partial_transpose(s: BipartiteState, subsystem: str) -> np.ndarray:
     return partial_transpose_matrix(s.matrix, s.dim_a, s.dim_b, subsystem)
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    # eigenvalues of nominally-PSD inputs can round below zero; clip before
-    # the square root so no NaNs propagate
-    w, v = np.linalg.eigh(m)
-    w = np.where(w > 0.0, w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
+def _drop_round_off(w: np.ndarray) -> np.ndarray:
+    # eigenvalues of a nominally-PSD unit-trace matrix at or below dim * eps
+    # are round-off, possibly negative; zero them before any square root,
+    # which would turn 1e-17 into 3e-9 and push fidelities above 1
+    return np.where(w > w.size * np.finfo(float).eps, w, 0.0)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -188,11 +187,11 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    root = _psd_sqrt(rho.matrix)
+    w, v = np.linalg.eigh(rho.matrix)
+    root = (v * np.sqrt(_drop_round_off(w))) @ v.conj().T
     inner = root @ sigma.matrix @ root
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    w = np.where(w > 0.0, w, 0.0)
-    return float(np.sqrt(w).sum())
+    return float(np.sqrt(_drop_round_off(w)).sum())
 
 
 def purity(rho: DensityMatrix) -> float:

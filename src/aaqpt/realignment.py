@@ -95,6 +95,20 @@ def _svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = True):
         raise SvdFailureError(f"SVD did not converge: {exc}") from exc
 
 
+def _spectrum(values: np.ndarray, rows: int, threshold: float | None) -> SingularSpectrum:
+    # the one place that turns singular values into a rank decision; the
+    # values come from LAPACK sorted descending, so the ``rank`` largest are
+    # exactly those above the threshold
+    smax = float(values[0]) if values.size else 0.0
+    tau = default_threshold(smax, rows) if threshold is None else float(threshold)
+    return SingularSpectrum(
+        values=_frozen(values),
+        sum=float(values.sum()),
+        rank=int(np.count_nonzero(values > tau)),
+        threshold=tau,
+    )
+
+
 def singular_spectrum(m, threshold: float | None = None) -> SingularSpectrum:
     """All singular values of ``m``, with a rank decision.
 
@@ -102,16 +116,7 @@ def singular_spectrum(m, threshold: float | None = None) -> SingularSpectrum:
     value when working with data whose noise floor is known.
     """
     a = as_matrix(m)
-    values = _svd(a, compute_uv=False)
-    smax = float(values[0]) if values.size else 0.0
-    tau = default_threshold(smax, a.shape[0]) if threshold is None else float(threshold)
-    rank = int(np.count_nonzero(values > tau))
-    return SingularSpectrum(
-        values=_frozen(values),
-        sum=float(values.sum()),
-        rank=rank,
-        threshold=tau,
-    )
+    return _spectrum(_svd(a, compute_uv=False), a.shape[0], threshold)
 
 
 def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
@@ -134,8 +139,7 @@ def realign_check_matrix(m, dim: int) -> np.ndarray:
     :func:`realign_matrix`; needs equal factor dimensions because the swap
     operator does.
     """
-    t = _split(as_matrix(m), dim, dim)
-    return t.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim).copy()
+    return realign_matrix(m, dim, dim).T
 
 
 def realign_check(s: BipartiteState) -> np.ndarray:
@@ -199,8 +203,7 @@ def ccnr_sum(s: BipartiteState) -> float:
     inconclusive.  Only meaningful for unit-trace states, which the
     :class:`BipartiteState` type guarantees.
     """
-    values = _svd(realign(s), compute_uv=False)
-    return float(values.sum())
+    return singular_spectrum(realign(s)).sum
 
 
 def ppt_min_eigenvalue(s: BipartiteState) -> float:

@@ -145,6 +145,24 @@ class TestExtractAndPredict:
         assert code == 0
         assert doc["truncatedCount"] == 2
 
+    def test_predict_passes_zero_tolerance(self, capsys, tmp_path, bitflip_files, monkeypatch):
+        import aaqpt.cli as cli
+
+        in_file, out_file = bitflip_files
+        m_file = tmp_path / "m.json"
+        run(capsys, ["--out", str(m_file), "extract", in_file, out_file])
+        seen = []
+        real_predict = cli.predict_output
+
+        def spy(m, probe, tol):
+            seen.append(tol)
+            return real_predict(m, probe, tol=tol)
+
+        monkeypatch.setattr(cli, "predict_output", spy)
+        run(capsys, ["predict", str(m_file), "--probe", "0", "--tol", "0"])
+        run(capsys, ["predict", str(m_file), "--probe", "0"])
+        assert seen == [0.0, 1e-7]
+
 
 class TestExperimentCommand:
     def test_exact_mode(self, capsys):
@@ -212,6 +230,18 @@ class TestCatalogCommand:
         assert doc["dims"] == [3, 3]
         code, verdict = run_json(capsys, ["faithful", "--file", str(out)])
         assert code == 3 and verdict["kernelDimension"] == 2
+
+
+class TestParserReuse:
+    def test_calls_do_not_share_state(self, capsys):
+        code, doc = run_json(capsys, ["catalog", "sigmaE", "--p", "0.3"])
+        assert code == 0
+        assert main(["faithful", "--tol", "not-a-number"]) == 2
+        capsys.readouterr()
+        code, default = run_json(capsys, ["catalog", "sigmaE"])
+        assert code == 0
+        assert default == json.loads(json.dumps(state_to_json(sigma_e(0.5))))
+        assert doc != default
 
 
 class TestTolEnvOverride:

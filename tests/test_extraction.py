@@ -11,7 +11,7 @@ from aaqpt.extraction import (
     reachable_report,
 )
 from aaqpt.qstate import bipartite, tensor, trace_distance
-from aaqpt.realignment import realign
+from aaqpt.realignment import realign, singular_spectrum
 from aaqpt.sampling import random_bipartite, random_channel, random_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -235,3 +235,32 @@ class TestKernelWitnessPair:
         rep = demonstrate_unfaithfulness(s, ch_a, ch_b)
         assert rep.output_gap < 1e-9
         assert rep.channel_gap > 0.0
+
+
+class TestSpectralCore:
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
+    def test_kernel_basis_on_unequal_dimensions(self, dims):
+        d_a, d_b = dims
+        s = random_bipartite(d_a, d_b, 81)
+        r = realign(s)
+        report = reachable_report(s)
+        assert report.kernel_dimension == d_a**2 - report.spectrum.rank
+        vecs = np.array([b.reshape(-1) for b in report.kernel_basis]).reshape(-1, d_a**2)
+        assert np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max(initial=0.0) < 1e-12
+        assert np.abs(vecs.conj() @ r).max(initial=0.0) < 1e-12
+
+    @pytest.mark.parametrize("threshold", [None, 1e-3])
+    def test_one_rank_decision(self, threshold):
+        rng = np.random.default_rng(82)
+        states = [sigma_e(0.3), horodecki(0.4)] + [faithful_random_state(d, rng) for d in (2, 3)]
+        for s in states:
+            spectra = [
+                singular_spectrum(realign(s), threshold=threshold),
+                extract(s, s, mode="pseudo", threshold=threshold).input_spectrum,
+                reachable_report(s, threshold=threshold).spectrum,
+            ]
+            # the three SVD calls may differ in s_max by round-off, and the
+            # default threshold scales with it
+            assert len({sp.rank for sp in spectra}) == 1
+            for sp in spectra[1:]:
+                assert sp.threshold == pytest.approx(spectra[0].threshold, rel=1e-12)

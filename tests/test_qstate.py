@@ -20,6 +20,7 @@ from aaqpt.qstate import (
     trace_distance,
     validate_density,
 )
+from aaqpt.sampling import random_pure
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -266,6 +267,13 @@ class TestFidelity:
             sigma = validate_density(random_density_matrix(2, rng))
             f = fidelity(rho, sigma)
             assert 0.0 <= f <= 1.0 + 1e-9
+
+    def test_pure_self_fidelity_not_above_one(self):
+        for d in (2, 3, 4):
+            for seed in range(20):
+                v = random_pure(d, seed)
+                rho = validate_density(np.outer(v, v.conj()))
+                assert fidelity(rho, rho) <= 1 + 1e-12
 
     def test_dimension_mismatch(self):
         rho = validate_density(np.eye(2) / 2)

@@ -277,6 +277,10 @@ class TestCcnrSum:
                 s = random_separable(d, d, terms=int(rng.integers(1, 9)), seed=rng)
                 assert ccnr_sum(s) <= 1 + 1e-9
 
+    def test_equals_spectrum_sum(self):
+        for s in (sigma_e(0.3), horodecki(0.4), random_bipartite(3, 3, 83)):
+            assert ccnr_sum(s) == singular_spectrum(realign(s)).sum
+
 
 class TestPptMinEigenvalue:
     def test_bell_state(self):

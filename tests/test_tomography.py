@@ -270,6 +270,26 @@ class TestRunExperiment:
         for rho in report.rho_in_estimates:
             assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-10)
 
+    def test_exact_batches_computed_once(self, monkeypatch):
+        import aaqpt.tomography as tomo
+
+        real_extract = tomo.extract
+        calls = []
+
+        def counting_extract(*args, **kwargs):
+            calls.append(1)
+            return real_extract(*args, **kwargs)
+
+        monkeypatch.setattr(tomo, "extract", counting_extract)
+        report = tomo.run_experiment(shots=0, batches=5, seed=3, exact=True)
+        assert len(calls) == 1
+        single = tomo.run_experiment(shots=0, batches=1, seed=3, exact=True)
+        assert [d.batch for d in report.batch_details] == [0, 1, 2, 3, 4]
+        assert report.fidelity_in.mean == pytest.approx(single.fidelity_in.mean, rel=0, abs=1e-15)
+        assert report.fidelity_out.mean == pytest.approx(single.fidelity_out.mean, rel=0, abs=1e-15)
+        for name, mb in report.probe_fidelities.items():
+            assert mb.mean == pytest.approx(single.probe_fidelities[name].mean, rel=0, abs=1e-15)
+
     def test_failed_batches_are_marked_not_fatal(self, monkeypatch):
         import aaqpt.tomography as tomo
         from aaqpt.errors import SvdFailureError

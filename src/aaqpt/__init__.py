@@ -78,7 +78,6 @@ from .tomography import (
     linear_inversion,
     run_exact,
     run_experiment,
-    sample_pauli_counts,
 )
 
 __version__ = "0.1.0"

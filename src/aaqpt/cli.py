@@ -50,7 +50,15 @@ class CommandResult:
 
 def _validation_tolerance() -> float:
     env = os.environ.get("AAQPT_DEFAULT_TOL")
-    return float(env) if env else DEFAULT_TOL
+    if not env:
+        return DEFAULT_TOL
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = None
+    if tol is None or not 0.0 <= tol < float("inf"):
+        raise AaqptError(f"AAQPT_DEFAULT_TOL must be a finite number >= 0, got {env!r}")
+    return tol
 
 
 def _load_json(path: str):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AaqptError,
     DimensionMismatchError,
     NotHermitianError,
     NotPositiveError,
@@ -38,10 +39,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Copy ``m`` into a fresh complex 2-D array."""
+    """Copy ``m`` into a fresh complex 2-D array of finite entries."""
     a = np.array(m, dtype=complex)
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-D matrix, got array of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise AaqptError("matrix has non-finite (NaN or infinite) entries")
     return a
 
 

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .catalog import PAULIS, PAULI_X, PROBE_NAMES_QUBIT, probe_states
+from .catalog import PAULI_I, PAULIS, PAULI_X, PROBE_NAMES_QUBIT, probe_states
 from .channel import Superoperator, make_channel, propagate, superoperator
 from .errors import (
     AaqptError,
     DimensionMismatchError,
     MissingBasisError,
+    NotPhysicalError,
     ParameterOutOfRangeError,
 )
 from .extraction import extract
@@ -51,6 +52,25 @@ _PAULI_EIGENVECTORS = {
     "Z": (np.array([1, 0], dtype=complex),
           np.array([0, 1], dtype=complex)),
 }
+
+# Projector onto each joint outcome (++, +-, -+, --) of each setting, shape
+# (9, 4, 4, 4); a state's Born table is trace(P @ rho) over the last two axes.
+_OUTCOME_PROJECTORS = np.array([
+    [np.outer(v, v.conj())
+     for v in (np.kron(v0, v1) for v0 in _PAULI_EIGENVECTORS[b0] for v1 in _PAULI_EIGENVECTORS[b1])]
+    for b0, b1 in BASIS_SETTINGS
+])
+
+# Linear inversion as one tensor, shape (9, 4, 4, 4): rho = sum over settings
+# and outcomes of frequency * entry.  The correlator <P_a P_b> reads only its
+# own setting, <P_a I> and <I P_b> average the three settings that measure
+# them, and I/9 summed over the nine normalized rows restores the identity.
+_INVERSION = np.array([
+    [(np.eye(4) / 9 + s0 * s1 * np.kron(PAULIS[b0], PAULIS[b1])
+      + (s0 * np.kron(PAULIS[b0], PAULI_I) + s1 * np.kron(PAULI_I, PAULIS[b1])) / 3) / 4
+     for s0 in (1, -1) for s1 in (1, -1)]
+    for b0, b1 in BASIS_SETTINGS
+])
 
 
 @dataclass(frozen=True)
@@ -254,80 +274,46 @@ def run_exact(circuit: Circuit, noise: NoiseModel, keep: tuple[int, ...]) -> Den
     return validate_density(_partial_trace_keep(rho, keep, n))
 
 
-def _setting_projectors(basis: tuple[str, str]) -> list[np.ndarray]:
-    pro = []
-    for v0 in _PAULI_EIGENVECTORS[basis[0]]:
-        for v1 in _PAULI_EIGENVECTORS[basis[1]]:
-            v = np.kron(v0, v1)
-            pro.append(np.outer(v, v.conj()))
-    return pro
-
-
-def exact_pauli_probabilities(rho: DensityMatrix, basis: tuple[str, str]) -> np.ndarray:
-    """Born probabilities of the four joint outcomes (++, +-, -+, --)."""
+def exact_pauli_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """Born table of a two-qubit state: one row per setting of
+    ``BASIS_SETTINGS``, one column per joint outcome (++, +-, -+, --)."""
     if rho.dim != 4:
         raise DimensionMismatchError(f"need a two-qubit state, got dim {rho.dim}")
-    p = np.array([np.real(np.trace(proj @ rho.matrix)) for proj in _setting_projectors(basis)])
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
-
-
-def sample_pauli_counts(
-    rho: DensityMatrix, basis: tuple[str, str], shots: int, seed: int
-) -> np.ndarray:
-    """Multinomial counts over the four joint eigenvalue outcomes.
-
-    Deterministic for a fixed (state, basis, shots, seed) quadruple.
-    """
-    if shots < 1:
-        raise ParameterOutOfRangeError(f"need shots >= 1, got {shots}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.multinomial(shots, exact_pauli_probabilities(rho, basis))
+    p = np.clip(np.trace(_OUTCOME_PROJECTORS @ rho.matrix, axis1=2, axis2=3).real, 0.0, None)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def project_to_state(matrix: np.ndarray) -> DensityMatrix:
     """Nearest-in-spirit physical state: hermitize, clip negative
-    eigenvalues to zero, renormalize the trace to one."""
+    eigenvalues to zero, renormalize the trace to one (NotPhysicalError if
+    no eigenvalue is positive)."""
     sym = (matrix + np.asarray(matrix).conj().T) / 2
     w, v = np.linalg.eigh(sym)
     w = np.where(w > 0.0, w, 0.0)
-    return validate_density((v * w) @ v.conj().T / w.sum())
+    mass = w.sum()
+    if not mass > 0.0:
+        raise NotPhysicalError("no positive eigenvalue left to renormalize")
+    return validate_density((v * w) @ v.conj().T / mass)
 
 
-def linear_inversion(counts: dict[tuple[str, str], np.ndarray]) -> DensityMatrix:
-    """Two-qubit state from counts in all nine Pauli basis settings.
+def linear_inversion(counts: np.ndarray) -> DensityMatrix:
+    """Two-qubit state from a (9, 4) table of counts (or frequencies), rows
+    in ``BASIS_SETTINGS`` order, columns as in :func:`exact_pauli_probabilities`.
 
     Correlators come from the matching setting; single-qubit expectations
     marginalize every compatible setting and average the three of them, so
     all collected data is used.  The raw inversion is projected onto the
     physical set afterwards (negative eigenvalues clipped, trace restored).
     """
-    missing = [s for s in BASIS_SETTINGS if s not in counts]
-    if missing:
-        raise MissingBasisError(f"missing basis settings: {missing}")
-    freqs = {}
-    for setting in BASIS_SETTINGS:
-        c = np.asarray(counts[setting], dtype=float)
-        if c.shape != (4,) or c.sum() <= 0:
-            raise MissingBasisError(f"setting {setting} needs four nonnegative counts")
-        freqs[setting] = c / c.sum()
-    signs_first = np.array([1.0, 1.0, -1.0, -1.0])
-    signs_second = np.array([1.0, -1.0, 1.0, -1.0])
-    expectations = {("I", "I"): 1.0}
-    for b0, b1 in BASIS_SETTINGS:
-        expectations[(b0, b1)] = float(freqs[(b0, b1)] @ (signs_first * signs_second))
-    for b0 in "XYZ":
-        expectations[(b0, "I")] = float(
-            np.mean([freqs[(b0, b1)] @ signs_first for b1 in "XYZ"])
-        )
-    for b1 in "XYZ":
-        expectations[("I", b1)] = float(
-            np.mean([freqs[(b0, b1)] @ signs_second for b0 in "XYZ"])
-        )
-    rho = np.zeros((4, 4), dtype=complex)
-    for (b0, b1), value in expectations.items():
-        rho += value * np.kron(PAULIS[b0], PAULIS[b1])
-    return project_to_state(rho / 4)
+    try:
+        c = np.asarray(counts, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MissingBasisError(f"counts are not a numeric table: {exc}") from None
+    if c.shape != (9, 4):
+        raise MissingBasisError(f"need a (9, 4) table of counts, got shape {c.shape}")
+    if not (np.isfinite(c).all() and (c >= 0).all() and (c.sum(axis=1) > 0).all()):
+        raise MissingBasisError("counts must be finite and nonnegative, with no empty row")
+    return project_to_state(np.tensordot(c / c.sum(axis=1, keepdims=True), _INVERSION, 2))
 
 
 def reference_channel_superoperator() -> Superoperator:
@@ -335,12 +321,8 @@ def reference_channel_superoperator() -> Superoperator:
     return superoperator(make_channel([np.eye(2) / np.sqrt(2), PAULI_X / np.sqrt(2)]))
 
 
-def _tomograph(rho: DensityMatrix, shots: int, rng: np.random.Generator | None) -> DensityMatrix:
-    counts = {}
-    for setting in BASIS_SETTINGS:
-        probs = exact_pauli_probabilities(rho, setting)
-        counts[setting] = probs if rng is None else rng.multinomial(shots, probs)
-    return linear_inversion(counts)
+def _tomograph(table: np.ndarray, shots: int, rng: np.random.Generator | None) -> DensityMatrix:
+    return linear_inversion(table if rng is None else rng.multinomial(shots, table))
 
 
 def run_experiment(
@@ -385,6 +367,9 @@ def run_experiment(
         project_to_state(propagate(m_reference, p.matrix)) for p in probes
     ]
 
+    table_in = exact_pauli_probabilities(rho_in_actual)
+    table_out = exact_pauli_probabilities(rho_out_actual)
+
     details = []
     for b in range(batches):
         if exact and details:
@@ -393,8 +378,8 @@ def run_experiment(
         batch_seed = None if exact else seed + b
         rng = None if exact else np.random.Generator(np.random.PCG64(batch_seed))
         try:
-            rho_in_est = _tomograph(rho_in_actual, shots_per_batch, rng)
-            rho_out_est = _tomograph(rho_out_actual, shots_per_batch, rng)
+            rho_in_est = _tomograph(table_in, shots_per_batch, rng)
+            rho_out_est = _tomograph(table_out, shots_per_batch, rng)
             result = extract(
                 BipartiteState(2, 2, rho_in_est),
                 BipartiteState(2, 2, rho_out_est),

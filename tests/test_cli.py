@@ -258,3 +258,11 @@ class TestTolEnvOverride:
         monkeypatch.setenv("AAQPT_DEFAULT_TOL", "1e-4")
         code, _ = run(capsys, ["faithful", "--file", str(path)])
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+    def test_malformed_env_tolerance_rejected(self, capsys, tmp_path, monkeypatch, value):
+        path = tmp_path / "bell.json"
+        path.write_text(json.dumps(state_to_json(max_entangled(2))))
+        monkeypatch.setenv("AAQPT_DEFAULT_TOL", value)
+        assert main(["faithful", "--file", str(path)]) == 2
+        assert "AAQPT_DEFAULT_TOL" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aaqpt.errors import (
+    AaqptError,
     DimensionMismatchError,
     NotHermitianError,
     NotPositiveError,
@@ -96,6 +97,18 @@ class TestValidateDensity:
     def test_non_square_rejected(self):
         with pytest.raises(NotSquareError):
             validate_density(np.ones((2, 3)) / 6)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(np.diag([np.nan, 1.0]), id="nan-diagonal"),
+            pytest.param(np.full((2, 2), np.nan), id="all-nan"),
+            pytest.param(np.diag([np.inf, 0.0]), id="inf"),
+        ],
+    )
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(AaqptError, match="non-finite"):
+            validate_density(bad)
 
     def test_original_entries_preserved(self):
         # a skew part below tolerance passes but must not be symmetrized away

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from aaqpt.catalog import PAULI_X, max_entangled
+from aaqpt.catalog import PAULI_X, PAULIS, max_entangled
 from aaqpt.errors import (
     MissingBasisError,
+    NotPhysicalError,
     ParameterOutOfRangeError,
 )
 from aaqpt.qstate import fidelity, tensor, validate_density
@@ -19,7 +22,6 @@ from aaqpt.tomography import (
     project_to_state,
     run_exact,
     run_experiment,
-    sample_pauli_counts,
 )
 
 NOISELESS = NoiseModel()
@@ -92,24 +94,32 @@ class TestRunExact:
             run_exact(input_circuit, NOISELESS, keep=(5,))
 
 
+def sample_counts(rho, shots, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.multinomial(shots, exact_pauli_probabilities(rho))
+
+
+ROW = {setting: i for i, setting in enumerate(BASIS_SETTINGS)}
+
+
 class TestSamplePauliCounts:
     def test_zero_state_z_basis(self):
         rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]))
-        counts = sample_pauli_counts(rho, ("Z", "Z"), shots=1000, seed=1)
+        counts = sample_counts(rho, shots=1000, seed=1)[ROW["Z", "Z"]]
         assert counts[0] == 1000
         assert counts[1:].sum() == 0
 
     def test_bell_state_xx_correlations(self):
-        counts = sample_pauli_counts(BELL, ("X", "X"), shots=2000, seed=2)
+        counts = sample_counts(BELL, shots=2000, seed=2)[ROW["X", "X"]]
         assert counts[1] == 0 and counts[2] == 0
         assert counts[0] + counts[3] == 2000
 
     def test_deterministic_for_fixed_seed(self):
         rho = validate_density(np.eye(4) / 4)
-        a = sample_pauli_counts(rho, ("X", "Y"), shots=500, seed=3)
-        b = sample_pauli_counts(rho, ("X", "Y"), shots=500, seed=3)
+        a = sample_counts(rho, shots=500, seed=3)
+        b = sample_counts(rho, shots=500, seed=3)
         assert np.array_equal(a, b)
-        c = sample_pauli_counts(rho, ("X", "Y"), shots=500, seed=4)
+        c = sample_counts(rho, shots=500, seed=4)
         assert not np.array_equal(a, c)
 
     def test_frequencies_converge_to_born_probabilities(self):
@@ -117,61 +127,91 @@ class TestSamplePauliCounts:
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = validate_density((g @ g.conj().T) / np.trace(g @ g.conj().T))
         shots = 10**6
-        for basis in (("X", "Z"), ("Y", "Y")):
-            probs = exact_pauli_probabilities(rho, basis)
-            counts = sample_pauli_counts(rho, basis, shots=shots, seed=5)
-            freqs = counts / shots
-            sigma = np.sqrt(probs * (1 - probs) / shots)
-            assert np.all(np.abs(freqs - probs) <= 5 * sigma + 1e-9)
-
-    def test_shots_validation(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            sample_pauli_counts(BELL, ("Z", "Z"), shots=0, seed=1)
+        probs = exact_pauli_probabilities(rho)
+        freqs = sample_counts(rho, shots=shots, seed=5) / shots
+        sigma = np.sqrt(probs * (1 - probs) / shots)
+        assert np.all(np.abs(freqs - probs) <= 5 * sigma + 1e-9)
 
     def test_two_qubit_states_only(self):
         from aaqpt.errors import DimensionMismatchError
 
         rho = validate_density(np.eye(2) / 2)
         with pytest.raises(DimensionMismatchError):
-            sample_pauli_counts(rho, ("Z", "Z"), shots=10, seed=1)
+            sample_counts(rho, shots=10, seed=1)
+
+    def test_one_table_draw_equals_row_by_row_draws(self):
+        # run_experiment draws a batch's (9, 4) counts in one call; this is
+        # what keeps its counts equal to nine per-setting draws
+        _, full_circuit = experiment_circuits()
+        table = exact_pauli_probabilities(
+            run_exact(full_circuit, NoiseModel(0.01, 0.03), keep=(0, 1))
+        )
+        one = np.random.Generator(np.random.PCG64(9)).multinomial(1024, table)
+        rows = np.random.Generator(np.random.PCG64(9))
+        assert np.array_equal(one, [rows.multinomial(1024, p) for p in table])
+
+
+def reference_inversion(counts):
+    # the per-setting Pauli-expectation estimator written out term by term
+    freqs = {s: np.asarray(c, dtype=float) / np.sum(c) for s, c in zip(BASIS_SETTINGS, counts)}
+    first, second = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
+    expectations = {("I", "I"): 1.0}
+    for b0, b1 in BASIS_SETTINGS:
+        expectations[b0, b1] = freqs[b0, b1] @ (first * second)
+    for b in "XYZ":
+        expectations[b, "I"] = np.mean([freqs[b, other] @ first for other in "XYZ"])
+        expectations["I", b] = np.mean([freqs[other, b] @ second for other in "XYZ"])
+    return sum(v * np.kron(PAULIS[a], PAULIS[b]) for (a, b), v in expectations.items()) / 4
 
 
 class TestLinearInversion:
     def test_identity_on_exact_bell_expectations(self):
-        counts = {s: exact_pauli_probabilities(BELL, s) for s in BASIS_SETTINGS}
-        rho = linear_inversion(counts)
+        rho = linear_inversion(exact_pauli_probabilities(BELL))
         assert np.abs(rho.matrix - BELL.matrix).max() < 1e-12
 
     def test_identity_on_exact_channel_output(self):
         _, full_circuit = experiment_circuits()
         target = run_exact(full_circuit, NOISELESS, keep=(0, 1))
-        counts = {s: exact_pauli_probabilities(target, s) for s in BASIS_SETTINGS}
-        rho = linear_inversion(counts)
+        rho = linear_inversion(exact_pauli_probabilities(target))
         assert np.abs(rho.matrix - target.matrix).max() < 1e-12
 
     def test_sampled_bell_reconstruction(self):
-        counts = {
-            s: sample_pauli_counts(BELL, s, shots=10240, seed=100 + i)
-            for i, s in enumerate(BASIS_SETTINGS)
-        }
-        rho = linear_inversion(counts)
+        rho = linear_inversion(sample_counts(BELL, shots=10240, seed=100))
         assert fidelity(rho, BELL) >= 0.99
 
     def test_missing_basis_rejected(self):
-        counts = {s: exact_pauli_probabilities(BELL, s) for s in BASIS_SETTINGS[:-1]}
         with pytest.raises(MissingBasisError):
-            linear_inversion(counts)
+            linear_inversion(exact_pauli_probabilities(BELL)[:-1])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(lambda t: t[:, :3], id="three-outcomes"),
+            pytest.param(lambda t: t.reshape(-1), id="flat"),
+            pytest.param(lambda t: {s: row for s, row in zip(BASIS_SETTINGS, t)}, id="dict"),
+            pytest.param(lambda t: [list(row) for row in t[:-1]] + [[1, 2]], id="ragged"),
+            pytest.param(lambda t: np.vstack([[5, -1, 0, 0], t[1:]]), id="negative"),
+            pytest.param(lambda t: np.vstack([[np.inf, 1, 0, 0], t[1:]]), id="inf"),
+            pytest.param(lambda t: np.vstack([[np.nan, 1, 0, 0], t[1:]]), id="nan"),
+            pytest.param(lambda t: np.vstack([t[:-1], [0, 0, 0, 0]]), id="empty-row"),
+        ],
+    )
+    def test_bad_counts_rejected(self, bad):
+        with pytest.raises(MissingBasisError):
+            linear_inversion(bad(sample_counts(BELL, shots=64, seed=6)))
 
     def test_result_is_physical(self):
         rng = np.random.default_rng(82)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = validate_density((g @ g.conj().T) / np.trace(g @ g.conj().T))
-        counts = {
-            s: sample_pauli_counts(rho, s, shots=64, seed=200 + i)
-            for i, s in enumerate(BASIS_SETTINGS)
-        }
-        est = linear_inversion(counts)  # validation inside would raise if not
+        est = linear_inversion(sample_counts(rho, shots=64, seed=200))  # validates inside
         assert np.trace(est.matrix) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_setting_estimator(self, seed):
+        counts = sample_counts(BELL, shots=64, seed=seed)
+        expected = project_to_state(reference_inversion(counts)).matrix
+        assert np.abs(linear_inversion(counts).matrix - expected).max() < 1e-12
 
 
 class TestProjectToState:
@@ -179,6 +219,10 @@ class TestProjectToState:
         raw = np.diag([1.2, -0.1, 0.0, 0.0])
         rho = project_to_state(raw)
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+
+    def test_no_positive_eigenvalue_rejected(self):
+        with pytest.raises(NotPhysicalError):
+            project_to_state(np.diag([-0.1, 0.0, 0.0, 0.0]))
 
     def test_fixes_nothing_on_valid_states(self):
         rng = np.random.default_rng(83)
@@ -198,12 +242,8 @@ class TestExactPipelineRecoversReferenceMap:
         input_circuit, full_circuit = experiment_circuits()
         rho_in = run_exact(input_circuit, NOISELESS, keep=(0, 1))
         rho_out = run_exact(full_circuit, NOISELESS, keep=(0, 1))
-        est_in = linear_inversion(
-            {s: exact_pauli_probabilities(rho_in, s) for s in BASIS_SETTINGS}
-        )
-        est_out = linear_inversion(
-            {s: exact_pauli_probabilities(rho_out, s) for s in BASIS_SETTINGS}
-        )
+        est_in = linear_inversion(exact_pauli_probabilities(rho_in))
+        est_out = linear_inversion(exact_pauli_probabilities(rho_out))
         result = extract(
             bipartite(est_in.matrix, 2, 2), bipartite(est_out.matrix, 2, 2), mode="pseudo"
         )
@@ -289,6 +329,16 @@ class TestRunExperiment:
         assert report.fidelity_out.mean == pytest.approx(single.fidelity_out.mean, rel=0, abs=1e-15)
         for name, mb in report.probe_fidelities.items():
             assert mb.mean == pytest.approx(single.probe_fidelities[name].mean, rel=0, abs=1e-15)
+
+    def test_unphysical_probe_prediction_fails_its_batch(self):
+        # batch 2 (seed 7) of this 8-shot run extracts a map whose prediction
+        # for some probe has no positive eigenvalue; it must not score 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_experiment(shots=8, batches=8, seed=5)
+        statuses = [d.status for d in report.batch_details]
+        assert statuses[2].startswith("failed") and "positive eigenvalue" in statuses[2]
+        assert statuses.count("ok") == 7
 
     def test_failed_batches_are_marked_not_fatal(self, monkeypatch):
         import aaqpt.tomography as tomo

@@ -114,11 +114,15 @@ def apply_extended(ch: KrausChannel, s: BipartiteState, tol: float = DEFAULT_TOL
     """Act with the channel on the A factor only: sum (K_n (x) I) rho (...)^dag."""
     if ch.dim != s.dim_a:
         raise DimensionMismatchError(f"channel dim {ch.dim} != dim_a {s.dim_a}")
-    eye_b = np.eye(s.dim_b)
-    out = sum(
-        tensor(k, eye_b) @ s.matrix @ tensor(k, eye_b).conj().T for k in ch.kraus
+    a, b = s.dim_a, s.dim_b
+    k = np.stack(ch.kraus)
+    # contract on the A index only, never building K (x) I_B: the 2n
+    # products of (dA dB)-square matrices become one contraction, whose
+    # pairwise order einsum picks from the operand sizes
+    out = np.einsum(
+        "nia,akbl,njb->ikjl", k, s.matrix.reshape(a, b, a, b), k.conj(), optimize=True
     )
-    return bipartite(out, s.dim_a, s.dim_b, tol=tol)
+    return bipartite(out.reshape(a * b, a * b), a, b, tol=tol)
 
 
 def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
@@ -157,8 +161,7 @@ def apply_via_choi(choi: ChoiMatrix, rho: DensityMatrix, tol: float = DEFAULT_TO
     if choi.dim != rho.dim:
         raise DimensionMismatchError(f"Choi dim {choi.dim} != state dim {rho.dim}")
     d = choi.dim
-    prod = tensor(np.eye(d), rho.matrix.T) @ choi.matrix
-    out = np.einsum("ikjk->ij", prod.reshape(d, d, d, d))
+    out = np.einsum("imjk,mk->ij", choi.matrix.reshape(d, d, d, d), rho.matrix)
     return validate_density(out, tol=tol)
 
 

@@ -3,10 +3,15 @@
 If ``rho_out = (channel (x) id)(rho_in)``, the realigned matrices satisfy
 ``realign(rho_out) = M @ realign(rho_in)`` with ``M = sum_n K_n (x) K_n*``,
 so M follows from a linear solve whenever ``realign(rho_in)`` is invertible,
-i.e. whenever the input is faithful.  The solve goes through the SVD of
-``realign(rho_in)`` rather than an explicit inverse: near-unfaithful inputs
-have tiny singular values that would otherwise amplify tomography noise
-catastrophically.
+i.e. whenever the input is faithful.  The rank of ``realign(rho_in)`` comes
+from its singular values, which are computed once per state and shared with
+the faithfulness test.  A square input of full rank has one exact solution,
+found by LU.  Any other input (truncated singular values, or dA != dB) is
+solved through the reduced SVD restricted to the singular values above the
+threshold.  On an invertible input both routes give the same M up to
+round-off; the truncation that keeps the tiny singular values of
+near-unfaithful inputs from amplifying tomography noise always takes the SVD
+route.
 
 For unfaithful inputs, strict mode refuses; pseudo mode truncates the small
 singular values and returns the Moore-Penrose solution, which still predicts
@@ -35,7 +40,7 @@ from .channel import (
 from .errors import DimensionMismatchError, NotFaithfulError
 from .catalog import max_entangled, probe_states
 from .qstate import BipartiteState, trace_distance, _frozen
-from .realignment import SingularSpectrum, realign, _spectrum, _svd
+from .realignment import SingularSpectrum, realign, _realignment_values, _spectrum, _svd
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,21 @@ def _check_dims(input_state: BipartiteState, output_state: BipartiteState) -> No
         )
 
 
+def _right_solve(r_in: np.ndarray, r_out: np.ndarray, rank: int) -> np.ndarray:
+    """M with ``M @ r_in = r_out`` on the ``rank`` leading singular
+    directions of ``r_in``: by LU when that is all of a square ``r_in``,
+    else by the reduced SVD."""
+    if rank == r_in.shape[0] == r_in.shape[1]:
+        try:
+            return np.linalg.solve(r_in.T, r_out.T).T
+        except np.linalg.LinAlgError:
+            # an exactly zero pivot: an explicit threshold kept a singular
+            # value that is round-off, which only the SVD can invert
+            pass
+    u, s, vh = _svd(r_in, compute_uv=True, full_matrices=False)
+    return (r_out @ (vh[:rank].conj().T / s[:rank])) @ u[:, :rank].conj().T
+
+
 def extract(
     input_state: BipartiteState,
     output_state: BipartiteState,
@@ -104,23 +124,26 @@ def extract(
     :class:`NotFaithfulError` otherwise; ``mode="pseudo"`` truncates singular
     values at the threshold (the realignment module's default policy unless
     overridden) and reports how many were dropped.
+
+    A square input of full rank is solved by LU; every other input goes
+    through the reduced SVD of ``realign(in)`` restricted to the singular
+    values above the threshold.  Both give the unique solution when it
+    exists, so the choice moves M only by round-off.
     """
     if mode not in ("strict", "pseudo"):
         raise ValueError(f"mode must be 'strict' or 'pseudo', got {mode!r}")
     _check_dims(input_state, output_state)
-    r_in = realign(input_state)
-    r_out = realign(output_state)
-    u, s, vh = _svd(r_in, compute_uv=True, full_matrices=False)
-    spectrum = _spectrum(s, r_in.shape[0], threshold)
-    rank = spectrum.rank
     # rank d_a^2 makes the solve exact and unique even for d_a != d_b:
     # the realigned input then has a right inverse
     required = input_state.dim_a ** 2
+    values = _realignment_values(input_state)
+    spectrum = _spectrum(values, required, threshold)
+    rank = spectrum.rank
     if mode == "strict" and rank < required:
         raise NotFaithfulError(required - rank)
-    inv_s = np.zeros_like(s)
-    inv_s[:rank] = 1.0 / s[:rank]
-    m = (r_out @ (vh.conj().T * inv_s)) @ u.conj().T
+    r_in = realign(input_state)
+    r_out = realign(output_state)
+    m = _right_solve(r_in, r_out, rank)
     residual = float(np.abs(r_out - m @ r_in).max())
     m_op = Superoperator(dim=input_state.dim_a, matrix=_frozen(m))
     choi = superop_to_choi(m_op)
@@ -130,7 +153,7 @@ def extract(
         mode=mode,
         input_spectrum=spectrum,
         residual=residual,
-        truncated_count=int(s.size - rank),
+        truncated_count=int(values.size - rank),
         choi_eigenvalues=_frozen(choi_eigs),
     )
 
@@ -145,10 +168,9 @@ def reachable_report(
     whose singular values vanish: exactly the operator directions on which
     two channels may differ while producing the same output on this state.
     """
-    r_in = realign(input_state)
-    u, s, _ = _svd(r_in, compute_uv=True)
-    spectrum = _spectrum(s, r_in.shape[0], threshold)
     d_a = input_state.dim_a
+    spectrum = _spectrum(_realignment_values(input_state), d_a * d_a, threshold)
+    u, _, _ = _svd(realign(input_state), compute_uv=True)
     basis = tuple(
         _frozen(col.reshape(d_a, d_a).copy()) for col in u[:, spectrum.rank:].T
     )

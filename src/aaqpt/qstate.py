@@ -14,7 +14,7 @@ the typed entry points take and return validated containers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,11 +68,20 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """A density matrix on A tensor B together with the factor dimensions."""
+    """A density matrix on A tensor B together with the factor dimensions.
+
+    The singular values of the state's realignment are computed once per
+    state: the first faithfulness test, CCNR sum or extraction that needs
+    them stores them here (read-only, ``dim_a**2`` doubles at most), and
+    every later rank decision about the same object reuses them.
+    """
 
     dim_a: int
     dim_b: int
     state: DensityMatrix
+    _realignment_values: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -107,6 +116,8 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 def bipartite(m, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> BipartiteState:
     """Validate ``m`` as a density matrix on A tensor B."""
+    if dim_a < 1 or dim_b < 1:
+        raise DimensionMismatchError(f"factor dimensions must be >= 1, got {dim_a} x {dim_b}")
     rho = validate_density(m, tol=tol)
     if rho.dim != dim_a * dim_b:
         raise DimensionMismatchError(

@@ -132,6 +132,16 @@ def realign(s: BipartiteState) -> np.ndarray:
     return realign_matrix(s.matrix, s.dim_a, s.dim_b)
 
 
+def _realignment_values(s: BipartiteState) -> np.ndarray:
+    # the state is immutable, so the values-only SVD of its realignment is
+    # run once and stored on it; every rank decision about the state then
+    # scales its threshold by the same s_max, bit for bit
+    if s._realignment_values is None:
+        values = _frozen(_svd(realign(s), compute_uv=False))
+        object.__setattr__(s, "_realignment_values", values)
+    return s._realignment_values
+
+
 def realign_check_matrix(m, dim: int) -> np.ndarray:
     """Swap-composed reshuffle: out[(k,l),(i,j)] = in[(i,k),(j,l)].
 
@@ -184,8 +194,8 @@ def is_faithful(s: BipartiteState, threshold: float | None = None) -> Faithfulne
     For dA != dB the criterion is not asserted; the verdict is negative with
     ``dims_equal`` set to False.
     """
-    spectrum = singular_spectrum(realign(s), threshold=threshold)
     required = s.dim_a * s.dim_a
+    spectrum = _spectrum(_realignment_values(s), required, threshold)
     dims_equal = s.dim_a == s.dim_b
     return FaithfulnessVerdict(
         faithful=bool(dims_equal and spectrum.rank == required),
@@ -203,7 +213,7 @@ def ccnr_sum(s: BipartiteState) -> float:
     inconclusive.  Only meaningful for unit-trace states, which the
     :class:`BipartiteState` type guarantees.
     """
-    return singular_spectrum(realign(s)).sum
+    return float(_realignment_values(s).sum())
 
 
 def ppt_min_eigenvalue(s: BipartiteState) -> float:

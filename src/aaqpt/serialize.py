@@ -4,6 +4,10 @@ Complex scalars are two-element ``[re, im]`` arrays, matrices are row-major
 arrays of rows, and numbers are IEEE-754 doubles in decimal (Python's json
 emits the shortest round-tripping decimal, so dump/load is bit-exact).
 
+Dimensions are JSON integers >= 1 (``true`` is not one), and every matrix
+entry is exactly two finite numbers; anything else raises
+:class:`FileFormatError`.
+
 Documents:
 
 * bipartite state   ``{"dims": [dA, dB], "matrix": [[[re, im], ...], ...]}``
@@ -30,19 +34,38 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
+def _dimension(value, what: str) -> int:
+    # bool is an int subclass in Python, but JSON true is not a dimension
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FileFormatError(f"{what} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
+    layout = "matrix must be a non-empty array of rows of [re, im] entries"
     if not isinstance(obj, list) or not obj:
-        raise FileFormatError("matrix must be a non-empty array of rows")
+        raise FileFormatError(layout)
     try:
-        rows = []
-        for row in obj:
-            rows.append([complex(z[0], z[1]) for z in row])
-        a = np.array(rows, dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise FileFormatError(f"malformed matrix entry: {exc}") from exc
-    if a.ndim != 2:
-        raise FileFormatError("matrix rows have inconsistent lengths")
-    return a
+        parts = np.array(obj, dtype=object)
+    except ValueError as exc:  # ragged rows or entries
+        raise FileFormatError(layout) from exc
+    if parts.ndim != 3 or parts.shape[2] != 2:
+        raise FileFormatError(layout)
+    bad = sorted(
+        t.__name__
+        for t in {type(x) for x in parts.flat}
+        if t is bool or not issubclass(t, (int, float))
+    )
+    if bad:
+        raise FileFormatError(f"matrix entries must be numbers, got {', '.join(bad)}")
+    try:
+        values = parts.astype(float)
+    except OverflowError as exc:
+        raise FileFormatError("matrix entry beyond the double range") from exc
+    if not np.isfinite(values).all():
+        raise FileFormatError("matrix entries must be finite numbers")
+    # [re, im] pairs of doubles are complex doubles bit for bit
+    return values.view(complex)[..., 0]
 
 
 def _require_keys(obj, keys, what: str) -> None:
@@ -62,7 +85,8 @@ def state_from_json(obj, tol: float = DEFAULT_TOL) -> BipartiteState:
     dims = obj["dims"]
     if not (isinstance(dims, list) and len(dims) == 2):
         raise FileFormatError("state 'dims' must be a two-element array")
-    return bipartite(matrix_from_json(obj["matrix"]), int(dims[0]), int(dims[1]), tol=tol)
+    dim_a, dim_b = (_dimension(d, "state 'dims' entry") for d in dims)
+    return bipartite(matrix_from_json(obj["matrix"]), dim_a, dim_b, tol=tol)
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -71,9 +95,10 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 def density_from_json(obj, tol: float = DEFAULT_TOL) -> DensityMatrix:
     _require_keys(obj, ("dim", "matrix"), "density")
+    d = _dimension(obj["dim"], "density 'dim'")
     rho = validate_density(matrix_from_json(obj["matrix"]), tol=tol)
-    if rho.dim != int(obj["dim"]):
-        raise FileFormatError(f"declared dim {obj['dim']} != matrix dim {rho.dim}")
+    if rho.dim != d:
+        raise FileFormatError(f"declared dim {d} != matrix dim {rho.dim}")
     return rho
 
 
@@ -83,11 +108,12 @@ def channel_to_json(ch: KrausChannel) -> dict:
 
 def channel_from_json(obj, tol: float = DEFAULT_TOL) -> KrausChannel:
     _require_keys(obj, ("dim", "kraus"), "channel")
+    d = _dimension(obj["dim"], "channel 'dim'")
     if not isinstance(obj["kraus"], list) or not obj["kraus"]:
         raise FileFormatError("channel 'kraus' must be a non-empty array")
     ch = make_channel([matrix_from_json(k) for k in obj["kraus"]], tol=tol)
-    if ch.dim != int(obj["dim"]):
-        raise FileFormatError(f"declared dim {obj['dim']} != Kraus dim {ch.dim}")
+    if ch.dim != d:
+        raise FileFormatError(f"declared dim {d} != Kraus dim {ch.dim}")
     return ch
 
 
@@ -97,8 +123,8 @@ def superop_to_json(m: Superoperator) -> dict:
 
 def superop_from_json(obj) -> Superoperator:
     _require_keys(obj, ("dim", "matrix"), "superoperator")
+    d = _dimension(obj["dim"], "superoperator 'dim'")
     a = matrix_from_json(obj["matrix"])
-    d = int(obj["dim"])
     if a.shape != (d * d, d * d):
         raise FileFormatError(
             f"superoperator of dim {d} needs shape {(d * d, d * d)}, got {a.shape}"

@@ -53,6 +53,17 @@ class TestFaithfulCommand:
         code, doc = run_json(capsys, ["faithful", "--file", str(path)])
         assert code == 0 and doc["faithful"] is True
 
+    @pytest.mark.parametrize("dims", [[None, 2], [-2, -2], [2.7, 2], [True, 4], ["a", 2]])
+    def test_malformed_dims_exit_four(self, capsys, tmp_path, dims):
+        doc = state_to_json(max_entangled(2))
+        doc["dims"] = dims
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code = main(["faithful", "--file", str(path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_garbage_file_exit_four(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("this is not json")

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from aaqpt import realignment
 from aaqpt.catalog import PAULI_X, horodecki, max_entangled, probe_states, sigma_e
 from aaqpt.channel import apply, apply_extended, make_channel, propagate, superoperator
 from aaqpt.errors import DimensionMismatchError, NotFaithfulError
@@ -11,7 +14,7 @@ from aaqpt.extraction import (
     reachable_report,
 )
 from aaqpt.qstate import bipartite, tensor, trace_distance
-from aaqpt.realignment import realign, singular_spectrum
+from aaqpt.realignment import ccnr_sum, is_faithful, realign, singular_spectrum
 from aaqpt.sampling import random_bipartite, random_channel, random_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -249,18 +252,42 @@ class TestSpectralCore:
         assert np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max(initial=0.0) < 1e-12
         assert np.abs(vecs.conj() @ r).max(initial=0.0) < 1e-12
 
+    def test_realignment_decomposed_once_per_state(self):
+        s = faithful_random_state(3, np.random.default_rng(83))
+        with mock.patch.object(realignment, "_svd", wraps=realignment._svd) as svd:
+            verdict = is_faithful(s)
+            total = ccnr_sum(s)
+            result = extract(s, apply_extended(random_channel(3, 2, 84), s))
+        assert svd.call_count == 1
+        assert result.input_spectrum.values is verdict.spectrum.values
+        assert total == verdict.spectrum.sum
+
+    def test_zero_threshold_keeps_round_off_singular_value(self):
+        # horodecki's zero singular value comes out of the SVD as ~1e-17, so
+        # threshold 0 counts full rank while the realignment is exactly
+        # singular and LU meets a zero pivot
+        h = horodecki(0.4)
+        result = extract(h, h, mode="strict", threshold=0.0)
+        assert result.truncated_count == 0
+        assert result.residual < 1e-10
+
     @pytest.mark.parametrize("threshold", [None, 1e-3])
     def test_one_rank_decision(self, threshold):
         rng = np.random.default_rng(82)
         states = [sigma_e(0.3), horodecki(0.4)] + [faithful_random_state(d, rng) for d in (2, 3)]
         for s in states:
+            # an equal state built separately, asked in the opposite order
+            twin = bipartite(np.array(s.matrix), s.dim_a, s.dim_b)
             spectra = [
                 singular_spectrum(realign(s), threshold=threshold),
                 extract(s, s, mode="pseudo", threshold=threshold).input_spectrum,
                 reachable_report(s, threshold=threshold).spectrum,
+                reachable_report(twin, threshold=threshold).spectrum,
+                extract(twin, twin, mode="pseudo", threshold=threshold).input_spectrum,
             ]
-            # the three SVD calls may differ in s_max by round-off, and the
-            # default threshold scales with it
-            assert len({sp.rank for sp in spectra}) == 1
+            # one set of singular values per state, so the default threshold
+            # scales with the same s_max, bit for bit
             for sp in spectra[1:]:
-                assert sp.threshold == pytest.approx(spectra[0].threshold, rel=1e-12)
+                assert np.array_equal(sp.values, spectra[0].values)
+                assert sp.threshold == spectra[0].threshold
+                assert sp.rank == spectra[0].rank

@@ -328,6 +328,13 @@ class TestBipartite:
         with pytest.raises(DimensionMismatchError):
             bipartite(np.eye(4) / 4, 2, 3)
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (0, 4), (4, 0)])
+    def test_dimensions_below_one_rejected(self, dims):
+        # (-2) * (-2) matches a 4 x 4 matrix, so the product check alone
+        # would let it through
+        with pytest.raises(DimensionMismatchError):
+            bipartite(np.eye(4) / 4, *dims)
+
     def test_matrix_accessor(self):
         s = bipartite(BELL, 2, 2)
         assert np.array_equal(s.matrix, BELL)

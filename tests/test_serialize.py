@@ -100,6 +100,65 @@ class TestSuperoperatorFormat:
             )
 
 
+def _valid_documents():
+    bitflip = make_channel([np.eye(2) / np.sqrt(2), PAULI_X / np.sqrt(2)])
+    return {
+        "state": (serialize.state_from_json, serialize.state_to_json(max_entangled(2))),
+        "density": (serialize.density_from_json, {"dim": 2, "matrix": serialize.matrix_to_json(np.eye(2) / 2)}),
+        "channel": (serialize.channel_from_json, serialize.channel_to_json(bitflip)),
+        "superoperator": (serialize.superop_from_json, serialize.superop_to_json(superoperator(bitflip))),
+    }
+
+
+def _with_dim(kind, value):
+    def mutate(doc):
+        if kind == "state":
+            doc["dims"] = value
+        else:
+            doc["dim"] = value
+    return mutate
+
+
+def _with_entry(kind, entry):
+    def mutate(doc):
+        matrix = doc["kraus"][0] if kind == "channel" else doc["matrix"]
+        matrix[0][0] = entry
+    return mutate
+
+
+_BAD_DIMS = {
+    "state": [[None, 2], [-2, -2], [2.7, 2], [True, 4], ["a", 2], [0, 4], [2.0, 2]],
+    "density": [None, -2, 0, 2.7, 2.0, True, "2"],
+    "channel": [None, -2, 0, 2.7, 2.0, True, "2"],
+    "superoperator": [None, -2, 0, 2.7, 2.0, True, "2"],
+}
+_BAD_ENTRIES = [[0.5, 0.0, "junk"], [0.5], 0.5, [True, 0], ["0.5", 0], [None, 0],
+                [float("nan"), 0], [0.5, float("inf")], [10**400, 0]]
+_MALFORMED = [
+    pytest.param(kind, _with_dim(kind, value), id=f"{kind}-dim-{value!r}")
+    for kind, values in _BAD_DIMS.items()
+    for value in values
+] + [
+    pytest.param(kind, _with_entry(kind, entry), id=f"{kind}-entry-{i}")
+    for kind in _BAD_DIMS
+    for i, entry in enumerate(_BAD_ENTRIES)
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("kind", sorted(_BAD_DIMS))
+    def test_valid_document_loads(self, kind):
+        load, doc = _valid_documents()[kind]
+        load(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("kind, mutate", _MALFORMED)
+    def test_rejected_as_file_format_error(self, kind, mutate):
+        load, doc = _valid_documents()[kind]
+        mutate(doc)
+        with pytest.raises(FileFormatError):
+            load(doc)
+
+
 class TestDocumentPayloads:
     def test_extraction_document_keys(self):
         bell = max_entangled(2)

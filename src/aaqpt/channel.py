@@ -41,6 +41,7 @@ from .qstate import (
     validate_density,
     _frozen,
 )
+from .realignment import _reshuffle
 
 
 @dataclass(frozen=True)
@@ -241,4 +242,4 @@ def superop_to_choi(m: Superoperator) -> np.ndarray:
     diagnose how far an extracted M is from a completely positive channel.
     """
     d = m.dim
-    return m.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d).copy()
+    return _reshuffle(m.matrix.reshape(d, d, d, d)).copy()

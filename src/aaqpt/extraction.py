@@ -25,6 +25,7 @@ with identical outputs on the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,18 @@ from .channel import (
     apply,
     apply_extended,
     kraus_from_choi,
-    superop_to_choi,
 )
 from .errors import DimensionMismatchError, NotFaithfulError
 from .catalog import max_entangled, probe_states
-from .qstate import BipartiteState, trace_distance, _frozen
-from .realignment import SingularSpectrum, realign, _realignment_values, _spectrum, _svd
+from .qstate import BipartiteState, trace_distance, _dagger, _frozen
+from .realignment import (
+    SingularSpectrum,
+    realign,
+    _realignment_values,
+    _reshuffle,
+    _spectrum,
+    _svd,
+)
 
 
 @dataclass(frozen=True)
@@ -97,19 +104,51 @@ def _check_dims(input_state: BipartiteState, output_state: BipartiteState) -> No
         )
 
 
-def _right_solve(r_in: np.ndarray, r_out: np.ndarray, rank: int) -> np.ndarray:
+def _lu_right_solve(r_in: np.ndarray, r_out: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(r_in.swapaxes(-1, -2), r_out.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _pair_solve(r_in: np.ndarray, r_out: np.ndarray, rank: int) -> np.ndarray:
     """M with ``M @ r_in = r_out`` on the ``rank`` leading singular
     directions of ``r_in``: by LU when that is all of a square ``r_in``,
     else by the reduced SVD."""
     if rank == r_in.shape[0] == r_in.shape[1]:
         try:
-            return np.linalg.solve(r_in.T, r_out.T).T
+            return _lu_right_solve(r_in, r_out)
         except np.linalg.LinAlgError:
             # an exactly zero pivot: an explicit threshold kept a singular
             # value that is round-off, which only the SVD can invert
             pass
     u, s, vh = _svd(r_in, compute_uv=True, full_matrices=False)
     return (r_out @ (vh[:rank].conj().T / s[:rank])) @ u[:, :rank].conj().T
+
+
+def _right_solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """:func:`_pair_solve` over stacks (B, rows, cols) of pairs.  When every
+    pair is square and of full rank, as faithful inputs are, one stacked LU
+    solves them all; otherwise each pair is solved on its own."""
+    rows, cols = r_in.shape[-2:]
+    if rows == cols and (ranks == rows).all():
+        try:
+            return _lu_right_solve(r_in, r_out)
+        except np.linalg.LinAlgError:
+            pass
+    return np.array([_pair_solve(*pair) for pair in zip(r_in, r_out, ranks)])
+
+
+def _solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray):
+    """The solve behind :func:`extract`, on stacks of realigned pairs.
+
+    Returns the stacked M of :func:`_right_solve`, each pair's residual
+    ``max|r_out - M @ r_in|`` and the eigenvalues of each M's reshuffled
+    Choi matrix.  The rank decisions are the caller's, so that one place
+    (:func:`realignment._spectrum`) owns the threshold.
+    """
+    m = _right_solve(r_in, r_out, ranks)
+    residual = np.abs(r_out - m @ r_in).max(axis=(-2, -1))
+    d = math.isqrt(m.shape[-1])
+    choi = _reshuffle(m.reshape(m.shape[:-2] + (d, d, d, d)))
+    return m, residual, np.linalg.eigvalsh((choi + _dagger(choi)) / 2)
 
 
 def extract(
@@ -141,20 +180,16 @@ def extract(
     rank = spectrum.rank
     if mode == "strict" and rank < required:
         raise NotFaithfulError(required - rank)
-    r_in = realign(input_state)
-    r_out = realign(output_state)
-    m = _right_solve(r_in, r_out, rank)
-    residual = float(np.abs(r_out - m @ r_in).max())
-    m_op = Superoperator(dim=input_state.dim_a, matrix=_frozen(m))
-    choi = superop_to_choi(m_op)
-    choi_eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+    m, residual, choi_eigs = _solve(
+        realign(input_state)[None], realign(output_state)[None], np.array([rank])
+    )
     return ExtractionResult(
-        m=m_op,
+        m=Superoperator(dim=input_state.dim_a, matrix=_frozen(m[0])),
         mode=mode,
         input_spectrum=spectrum,
-        residual=residual,
+        residual=float(residual[0]),
         truncated_count=int(values.size - rank),
-        choi_eigenvalues=_frozen(choi_eigs),
+        choi_eigenvalues=_frozen(choi_eigs[0]),
     )
 
 

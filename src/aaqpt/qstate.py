@@ -88,6 +88,38 @@ class BipartiteState:
         return self.state.matrix
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _density_failures(a: np.ndarray, tol: float) -> np.ndarray:
+    """The density-matrix checks of :func:`validate_density` on each matrix
+    of a finite stack (..., d, d), run all at once.
+
+    Returns an object array of the leading shape that holds, per matrix, the
+    error of the first check it fails (Hermiticity, unit trace, positivity,
+    in that order) or None.
+    """
+    adjoint = _dagger(a)
+    herm_dev = np.abs(a - adjoint).max(axis=(-2, -1))
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    # eigenvalues come sorted ascending, so the first is the smallest
+    min_eig = np.linalg.eigvalsh((a + adjoint) / 2)[..., 0]
+    bad = (herm_dev > tol) | (abs(tr - 1.0) > tol) | (min_eig < -tol)
+    failures = np.empty(np.shape(bad), dtype=object)  # all None
+    if not bad.any():
+        return failures
+    for i in np.flatnonzero(bad):
+        if herm_dev.flat[i] > tol:
+            failures.flat[i] = NotHermitianError(float(herm_dev.flat[i]))
+        elif abs(tr.flat[i] - 1.0) > tol:
+            failures.flat[i] = NotUnitTraceError(complex(tr.flat[i]))
+        else:
+            failures.flat[i] = NotPositiveError(float(min_eig.flat[i]))
+    return failures
+
+
 def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap ``m``.
 
@@ -101,16 +133,9 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """
     a = as_matrix(m)
     dim = require_square(a)
-    herm_dev = float(np.abs(a - a.conj().T).max())
-    if herm_dev > tol:
-        raise NotHermitianError(herm_dev)
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tol:
-        raise NotUnitTraceError(tr)
-    sym = (a + a.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(sym).min())
-    if min_eig < -tol:
-        raise NotPositiveError(min_eig)
+    failure = _density_failures(a, tol).item()
+    if failure is not None:
+        raise failure
     return DensityMatrix(dim=dim, matrix=_frozen(a))
 
 
@@ -190,7 +215,21 @@ def _drop_round_off(w: np.ndarray) -> np.ndarray:
     # eigenvalues of a nominally-PSD unit-trace matrix at or below dim * eps
     # are round-off, possibly negative; zero them before any square root,
     # which would turn 1e-17 into 3e-9 and push fidelities above 1
-    return np.where(w > w.size * np.finfo(float).eps, w, 0.0)
+    return np.where(w > w.shape[-1] * np.finfo(float).eps, w, 0.0)
+
+
+def _root(rho: np.ndarray) -> np.ndarray:
+    """Principal square root of each state of a stack (..., d, d)."""
+    w, v = np.linalg.eigh(rho)
+    return (v * np.sqrt(_drop_round_off(w))[..., None, :]) @ _dagger(v)
+
+
+def _fidelity(root: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Root fidelities from ``_root(rho)`` and ``sigma``, both stacks that
+    broadcast against each other."""
+    inner = root @ sigma @ root
+    w = np.linalg.eigvalsh((inner + _dagger(inner)) / 2)
+    return np.sqrt(_drop_round_off(w)).sum(axis=-1)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -201,11 +240,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    w, v = np.linalg.eigh(rho.matrix)
-    root = (v * np.sqrt(_drop_round_off(w))) @ v.conj().T
-    inner = root @ sigma.matrix @ root
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(np.sqrt(_drop_round_off(w)).sum())
+    return float(_fidelity(_root(rho.matrix), sigma.matrix))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -124,8 +124,14 @@ def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
 
     Accepts unnormalized input; the result has shape dA^2 x dB^2.
     """
-    t = _split(as_matrix(m), dim_a, dim_b)
-    return t.transpose(0, 2, 1, 3).reshape(dim_a * dim_a, dim_b * dim_b).copy()
+    return _reshuffle(_split(as_matrix(m), dim_a, dim_b)).copy()
+
+
+def _reshuffle(t: np.ndarray) -> np.ndarray:
+    """Realign a stack of bipartite matrices split as (..., dA, dB, dA, dB)
+    tensors: the (..., dA^2, dB^2) matrices of :func:`realign_matrix`."""
+    a, b = t.shape[-4:-2]
+    return t.swapaxes(-3, -2).reshape(t.shape[:-4] + (a * a, b * b))
 
 
 def realign(s: BipartiteState) -> np.ndarray:

@@ -14,26 +14,48 @@ realizes, after tracing out q2, the bit-flip channel with Kraus operators
 Randomness comes exclusively from numpy's PCG64 generator with explicit
 64-bit seeds; batch b of an experiment uses seed + b, which makes reports
 bit-identical across reruns and batches exchangeable.
+
+An experiment draws its counts batch by batch and then does everything
+else once, on stacks that hold every batch: inversion, projection,
+validation, realignment, extraction, probe predictions and fidelities.  The
+per-matrix entry points (:func:`linear_inversion`, :func:`project_to_state`)
+are the same kernels applied to a stack of one.  A batch that fails a check
+is masked in the stacks, never raises, and reads ``failed: <message>`` with
+the first failure it meets, as if it had been processed on its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .catalog import PAULI_I, PAULIS, PAULI_X, PROBE_NAMES_QUBIT, probe_states
-from .channel import Superoperator, make_channel, propagate, superoperator
+from .channel import Superoperator, make_channel, superoperator
 from .errors import (
     AaqptError,
     DimensionMismatchError,
     MissingBasisError,
     NotPhysicalError,
+    NotSquareError,
     ParameterOutOfRangeError,
 )
-from .extraction import extract
-from .qstate import BipartiteState, DensityMatrix, fidelity, validate_density
+# the batches are extracted as extract(..., mode="pseudo") would do it, by
+# its stacked core _solve; extract stays importable from this module
+from .extraction import _solve, extract  # noqa: F401
+from .qstate import (
+    DEFAULT_TOL,
+    DensityMatrix,
+    _dagger,
+    _density_failures,
+    _fidelity,
+    _frozen,
+    _root,
+    validate_density,
+)
+from .realignment import _reshuffle, _spectrum, _svd
 
 RNG_NAME = "pcg64"
 
@@ -253,6 +275,24 @@ def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], lam: float, n: int) ->
     return (1 - lam) * rho + lam * mixed
 
 
+def _evolve(rho: np.ndarray, gates: tuple[Gate, ...], noise: NoiseModel, n: int) -> np.ndarray:
+    """Apply ``gates`` to the n-qubit density matrix ``rho``: unitaries act
+    exactly; after each gate the touched qubits are depolarized per the
+    noise model (1-qubit strength for H and I, 2-qubit strength for CNOT)."""
+    for gate in gates:
+        u = _gate_unitary(gate, n)
+        rho = u @ rho @ u.conj().T
+        lam = noise.depolarizing_2q if gate.kind == "CNOT" else noise.depolarizing_1q
+        rho = _depolarize(rho, gate.qubits, lam, n)
+    return rho
+
+
+def _ground_state(n: int) -> np.ndarray:
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
 def run_exact(circuit: Circuit, noise: NoiseModel, keep: tuple[int, ...]) -> DensityMatrix:
     """Evolve |0...0> through the circuit and trace down to ``keep``.
 
@@ -264,14 +304,22 @@ def run_exact(circuit: Circuit, noise: NoiseModel, keep: tuple[int, ...]) -> Den
     keep = tuple(sorted(keep))
     if not keep or any(q < 0 or q >= n for q in keep):
         raise ParameterOutOfRangeError(f"keep={keep} is not a valid qubit subset")
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    for gate in circuit.gates:
-        u = _gate_unitary(gate, n)
-        rho = u @ rho @ u.conj().T
-        lam = noise.depolarizing_2q if gate.kind == "CNOT" else noise.depolarizing_1q
-        rho = _depolarize(rho, gate.qubits, lam, n)
+    rho = _evolve(_ground_state(n), circuit.gates, noise, n)
     return validate_density(_partial_trace_keep(rho, keep, n))
+
+
+def _register_states(noise: NoiseModel) -> tuple[DensityMatrix, DensityMatrix]:
+    """The (q0, q1) states after the input circuit and after the full
+    circuit, as :func:`run_exact` gives them.  The full circuit is the input
+    circuit followed by the channel part, so one evolution yields both."""
+    input_circuit, full_circuit = experiment_circuits()
+    n = full_circuit.qubit_count
+    prefix = len(input_circuit.gates)
+    after_input = _evolve(_ground_state(n), input_circuit.gates, noise, n)
+    after_full = _evolve(after_input, full_circuit.gates[prefix:], noise, n)
+    return tuple(
+        validate_density(_partial_trace_keep(rho, (0, 1), n)) for rho in (after_input, after_full)
+    )
 
 
 def exact_pauli_probabilities(rho: DensityMatrix) -> np.ndarray:
@@ -283,17 +331,52 @@ def exact_pauli_probabilities(rho: DensityMatrix) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _project(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked kernel of :func:`project_to_state` on (..., d, d) matrices.
+
+    Returns the projected states and an object array of the leading shape
+    holding, per matrix, the error :func:`project_to_state` would raise, or
+    None.  A matrix with no positive eigenvalue yields a zero matrix in
+    place of a state, so the stack never divides by zero.
+    """
+    w, v = np.linalg.eigh((raw + _dagger(raw)) / 2)
+    w = np.where(w > 0.0, w, 0.0)
+    mass = w.sum(axis=-1)
+    empty = ~(mass > 0.0)
+    rho = (v * w[..., None, :]) @ _dagger(v) / np.where(empty, 1.0, mass)[..., None, None]
+    failures = _density_failures(rho, DEFAULT_TOL)
+    failures[empty] = NotPhysicalError("no positive eigenvalue left to renormalize")
+    return rho, failures
+
+
+def _single(rho: np.ndarray, failures: np.ndarray) -> DensityMatrix:
+    """The one state of a kernel's result, or the error it records."""
+    if failures.item() is not None:
+        raise failures.item()
+    return DensityMatrix(dim=rho.shape[-1], matrix=_frozen(rho.astype(complex)))
+
+
 def project_to_state(matrix: np.ndarray) -> DensityMatrix:
     """Nearest-in-spirit physical state: hermitize, clip negative
     eigenvalues to zero, renormalize the trace to one (NotPhysicalError if
     no eigenvalue is positive)."""
-    sym = (matrix + np.asarray(matrix).conj().T) / 2
-    w, v = np.linalg.eigh(sym)
-    w = np.where(w > 0.0, w, 0.0)
-    mass = w.sum()
-    if not mass > 0.0:
-        raise NotPhysicalError("no positive eigenvalue left to renormalize")
-    return validate_density((v * w) @ v.conj().T / mass)
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise NotSquareError(f"expected a 2-D matrix, got array of shape {a.shape}")
+    return _single(*_project(a))
+
+
+def _invert(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked kernel of :func:`linear_inversion` on (..., 9, 4) tables,
+    returned as :func:`_project` returns its states.  A table that is not
+    finite and nonnegative with no empty row fails with MissingBasisError
+    and is inverted as if uniform, so the stack never divides by zero."""
+    c = np.asarray(counts, dtype=float)
+    bad = ~((np.isfinite(c) & (c >= 0)).all(axis=(-2, -1)) & (c.sum(axis=-1) > 0).all(axis=-1))
+    c = np.where(bad[..., None, None], 1.0, c)
+    rho, failures = _project(np.tensordot(c / c.sum(axis=-1, keepdims=True), _INVERSION, 2))
+    failures[bad] = MissingBasisError("counts must be finite and nonnegative, with no empty row")
+    return rho, failures
 
 
 def linear_inversion(counts: np.ndarray) -> DensityMatrix:
@@ -311,9 +394,7 @@ def linear_inversion(counts: np.ndarray) -> DensityMatrix:
         raise MissingBasisError(f"counts are not a numeric table: {exc}") from None
     if c.shape != (9, 4):
         raise MissingBasisError(f"need a (9, 4) table of counts, got shape {c.shape}")
-    if not (np.isfinite(c).all() and (c >= 0).all() and (c.sum(axis=1) > 0).all()):
-        raise MissingBasisError("counts must be finite and nonnegative, with no empty row")
-    return project_to_state(np.tensordot(c / c.sum(axis=1, keepdims=True), _INVERSION, 2))
+    return _single(*_invert(c))
 
 
 def reference_channel_superoperator() -> Superoperator:
@@ -321,8 +402,60 @@ def reference_channel_superoperator() -> Superoperator:
     return superoperator(make_channel([np.eye(2) / np.sqrt(2), PAULI_X / np.sqrt(2)]))
 
 
-def _tomograph(table: np.ndarray, shots: int, rng: np.random.Generator | None) -> DensityMatrix:
-    return linear_inversion(table if rng is None else rng.multinomial(shots, table))
+def _tomograph(table: np.ndarray, shots: int, rng: np.random.Generator | None) -> np.ndarray:
+    """One batch's (9, 4) counts: a multinomial draw of ``shots`` per
+    setting, or the Born table itself when there is no generator."""
+    return table if rng is None else rng.multinomial(shots, table)
+
+
+def _predict(m: np.ndarray, probe_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each probe's output under each superoperator of a stack (B, d^2, d^2),
+    propagated as :func:`channel.propagate` does and projected by :func:`_project`:
+    the (B, P, d, d) states and their failures, for P row-vectorized probes."""
+    d = math.isqrt(probe_vectors.shape[-1])
+    raw = np.einsum("bij,pj->bpi", m, probe_vectors)
+    return _project(raw.reshape(raw.shape[:2] + (d, d)))
+
+
+def _every_batch_failed(status: list[str | None]) -> AaqptError:
+    return AaqptError(f"every batch failed; first error: {status[0]}")
+
+
+def _mark(status: list[str | None], failures: np.ndarray) -> None:
+    """Record each batch's first failure along the rows of the (B, k) object
+    array ``failures``, unless the batch has failed before."""
+    for b, row in enumerate(failures):
+        first = next((f for f in row if f is not None), None)
+        if status[b] is None and first is not None:
+            status[b] = f"failed: {first}"
+
+
+def _by_batch(fn, status: list[str | None], *stacks: np.ndarray):
+    """``fn`` on whole (B, ...) stacks, one row per batch.
+
+    Should the stacked call raise, each batch is tried alone: a batch that
+    raises is marked failed (unless it failed earlier) and takes the rows of
+    one that did not, and ``fn`` runs on the whole stacks again.  A fault in
+    one batch so fails that batch only, as it would on its own.
+    """
+    try:
+        return fn(*stacks)
+    except AaqptError:
+        pass
+    faulty = []
+    for b in range(len(status)):
+        try:
+            fn(*(s[b : b + 1] for s in stacks))
+        except AaqptError as exc:
+            faulty.append(b)
+            status[b] = status[b] or f"failed: {exc}"
+    if len(faulty) == len(status):
+        raise _every_batch_failed(status)
+    donor = next(b for b in range(len(status)) if b not in faulty)
+    stacks = tuple(s.copy() for s in stacks)
+    for s in stacks:
+        s[faulty] = s[donor]
+    return fn(*stacks)
 
 
 def run_experiment(
@@ -344,6 +477,13 @@ def run_experiment(
     ``exact=True`` the sampler is bypassed and tomography runs on exact Born
     probabilities; every batch is then the same, so the first is computed
     once and repeated.
+
+    Only the draws run batch by batch.  Inversion, projection, extraction
+    and scoring then run once on the stacked counts of all batches, with
+    the checks a single batch gets.  A batch that fails one reads
+    ``failed: <message>`` with the first failure it meets, in the order a
+    lone batch would meet them, and the other batches still score; only a
+    run whose every batch fails raises.
     """
     noise = noise or NoiseModel()
     if batches < 1:
@@ -355,52 +495,61 @@ def run_experiment(
             )
     shots_per_batch = shots // batches if not exact else 0
 
-    input_circuit, full_circuit = experiment_circuits()
-    rho_in_target = run_exact(input_circuit, NoiseModel(), (0, 1))
-    rho_out_target = run_exact(full_circuit, NoiseModel(), (0, 1))
-    rho_in_actual = run_exact(input_circuit, noise, (0, 1))
-    rho_out_actual = run_exact(full_circuit, noise, (0, 1))
+    targets = _register_states(NoiseModel())
+    tables = [exact_pauli_probabilities(rho) for rho in _register_states(noise)]
 
-    m_reference = reference_channel_superoperator()
-    probes = probe_states(2)
-    reference_outputs = [
-        project_to_state(propagate(m_reference, p.matrix)) for p in probes
-    ]
+    probe_vectors = np.array([p.matrix.reshape(-1) for p in probe_states(2)])
+    reference_outputs, failures = _predict(
+        reference_channel_superoperator().matrix[None], probe_vectors
+    )
+    for failure in failures[0]:
+        if failure is not None:
+            raise failure
 
-    table_in = exact_pauli_probabilities(rho_in_actual)
-    table_out = exact_pauli_probabilities(rho_out_actual)
+    seeds = [None] if exact else [seed + b for b in range(batches)]
+    counts = []
+    for batch_seed in seeds:
+        rng = None if exact else np.random.Generator(np.random.PCG64(batch_seed))
+        # the input register's draw, then the output register's
+        counts.append([_tomograph(table, shots_per_batch, rng) for table in tables])
+    counts = np.swapaxes(counts, 0, 1)  # (register, batch, 9, 4)
+
+    status: list[str | None] = [None] * len(seeds)
+    rho, failures = _invert(counts)
+    _mark(status, failures.T)
+
+    # extraction in pseudo mode, as extract(..., mode="pseudo") does it
+    r_in, r_out = _reshuffle(rho.reshape(rho.shape[:2] + (2, 2, 2, 2)))
+    values = _by_batch(lambda r: _svd(r, compute_uv=False), status, r_in)
+    ranks = np.array([_spectrum(v, r_in.shape[-2], None).rank for v in values])
+    m = _by_batch(_solve, status, r_in, r_out, ranks)[0]
+
+    predicted, probe_failures = _predict(m, probe_vectors)
+    _mark(status, probe_failures)
+    if all(status):
+        raise _every_batch_failed(status)
+
+    target_roots = _root(np.array([t.matrix for t in targets]))
+    state_fids = _fidelity(target_roots[:, None], rho)
+    probe_fids = _fidelity(_root(predicted), reference_outputs[0])
 
     details = []
-    for b in range(batches):
-        if exact and details:
-            details.append(replace(details[0], batch=b))
-            continue
-        batch_seed = None if exact else seed + b
-        rng = None if exact else np.random.Generator(np.random.PCG64(batch_seed))
-        try:
-            rho_in_est = _tomograph(table_in, shots_per_batch, rng)
-            rho_out_est = _tomograph(table_out, shots_per_batch, rng)
-            result = extract(
-                BipartiteState(2, 2, rho_in_est),
-                BipartiteState(2, 2, rho_out_est),
-                mode="pseudo",
-            )
-            probe_fids = {}
-            for name, probe, ref_out in zip(PROBE_NAMES_QUBIT, probes, reference_outputs):
-                predicted = project_to_state(propagate(result.m, probe.matrix))
-                probe_fids[name] = fidelity(predicted, ref_out)
+    for b, batch_seed in enumerate(seeds):
+        if status[b] is None:
             details.append(
                 BatchDetail(
                     batch=b,
                     seed=batch_seed,
-                    fidelity_in=fidelity(rho_in_target, rho_in_est),
-                    fidelity_out=fidelity(rho_out_target, rho_out_est),
-                    probe_fidelities=probe_fids,
-                    rho_in=rho_in_est,
-                    rho_out=rho_out_est,
+                    fidelity_in=float(state_fids[0, b]),
+                    fidelity_out=float(state_fids[1, b]),
+                    probe_fidelities={
+                        name: float(f) for name, f in zip(PROBE_NAMES_QUBIT, probe_fids[b])
+                    },
+                    rho_in=DensityMatrix(dim=4, matrix=_frozen(rho[0, b])),
+                    rho_out=DensityMatrix(dim=4, matrix=_frozen(rho[1, b])),
                 )
             )
-        except AaqptError as exc:
+        else:
             details.append(
                 BatchDetail(
                     batch=b,
@@ -410,13 +559,13 @@ def run_experiment(
                     probe_fidelities={},
                     rho_in=None,
                     rho_out=None,
-                    status=f"failed: {exc}",
+                    status=status[b],
                 )
             )
+    if exact:
+        details = [replace(details[0], batch=b) for b in range(batches)]
 
     ok = [d for d in details if d.status == "ok"]
-    if not ok:
-        raise AaqptError(f"every batch failed; first error: {details[0].status}")
 
     def aggregate(values: list[float]) -> MeanBand:
         arr = np.asarray(values, dtype=float)

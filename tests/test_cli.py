@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aaqpt
 from aaqpt.catalog import PAULI_X, max_entangled, sigma_e
 from aaqpt.channel import apply_extended, make_channel
 from aaqpt.cli import main
@@ -277,3 +282,29 @@ class TestTolEnvOverride:
         monkeypatch.setenv("AAQPT_DEFAULT_TOL", value)
         assert main(["faithful", "--file", str(path)]) == 2
         assert "AAQPT_DEFAULT_TOL" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m aaqpt`` runs the CLI with its documented exit codes."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(aaqpt.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "aaqpt", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_faithful_state_exits_zero(self):
+        proc = self.run_module("faithful", "--catalog", "bell2")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("faithful: yes")
+
+    def test_unfaithful_state_exits_three(self):
+        proc = self.run_module("faithful", "--catalog", "sigmaE", "--p", "0.5")
+        assert proc.returncode == 3
+        assert proc.stdout.startswith("faithful: no")

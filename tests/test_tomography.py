@@ -2,14 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from aaqpt.catalog import PAULI_X, PAULIS, max_entangled
+from aaqpt.catalog import PAULI_X, PAULIS, PROBE_NAMES_QUBIT, max_entangled, probe_states
+from aaqpt.channel import propagate
 from aaqpt.errors import (
+    AaqptError,
     MissingBasisError,
     NotPhysicalError,
     ParameterOutOfRangeError,
 )
-from aaqpt.qstate import fidelity, tensor, validate_density
+from aaqpt.extraction import extract
+from aaqpt.qstate import _fidelity, _root, bipartite, fidelity, tensor, validate_density
 from aaqpt.serialize import report_to_json
 from aaqpt.tomography import (
     BASIS_SETTINGS,
@@ -20,8 +24,11 @@ from aaqpt.tomography import (
     experiment_circuits,
     linear_inversion,
     project_to_state,
+    reference_channel_superoperator,
     run_exact,
     run_experiment,
+    _project,
+    _register_states,
 )
 
 NOISELESS = NoiseModel()
@@ -92,6 +99,11 @@ class TestRunExact:
         input_circuit, _ = experiment_circuits()
         with pytest.raises(ParameterOutOfRangeError):
             run_exact(input_circuit, NOISELESS, keep=(5,))
+
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(0.01, 0.03)])
+    def test_one_evolution_gives_both_registers_bit_for_bit(self, noise):
+        for state, circuit in zip(_register_states(noise), experiment_circuits()):
+            assert np.array_equal(state.matrix, run_exact(circuit, noise, (0, 1)).matrix)
 
 
 def sample_counts(rho, shots, seed):
@@ -235,10 +247,6 @@ class TestExactPipelineRecoversReferenceMap:
     def test_noiseless_exact_tomography_extraction(self):
         # full pipeline on exact expectations: tomograph both registers,
         # extract, compare with the reference bit-flip superoperator
-        from aaqpt.extraction import extract
-        from aaqpt.qstate import bipartite
-        from aaqpt.tomography import reference_channel_superoperator
-
         input_circuit, full_circuit = experiment_circuits()
         rho_in = run_exact(input_circuit, NOISELESS, keep=(0, 1))
         rho_out = run_exact(full_circuit, NOISELESS, keep=(0, 1))
@@ -313,14 +321,14 @@ class TestRunExperiment:
     def test_exact_batches_computed_once(self, monkeypatch):
         import aaqpt.tomography as tomo
 
-        real_extract = tomo.extract
+        real_solve = tomo._solve
         calls = []
 
-        def counting_extract(*args, **kwargs):
+        def counting_solve(*args, **kwargs):
             calls.append(1)
-            return real_extract(*args, **kwargs)
+            return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(tomo, "extract", counting_extract)
+        monkeypatch.setattr(tomo, "_solve", counting_solve)
         report = tomo.run_experiment(shots=0, batches=5, seed=3, exact=True)
         assert len(calls) == 1
         single = tomo.run_experiment(shots=0, batches=1, seed=3, exact=True)
@@ -344,19 +352,153 @@ class TestRunExperiment:
         import aaqpt.tomography as tomo
         from aaqpt.errors import SvdFailureError
 
-        real_extract = tomo.extract
-        calls = {"n": 0}
+        real_solve = tomo._solve
+        faulty = []
 
-        def flaky_extract(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
+        def flaky_solve(r_in, r_out, ranks):
+            # an SVD that fails on batch 1's input wherever it appears: in
+            # the stack of all batches and in that batch alone
+            if not faulty:
+                faulty.append(r_in[1].copy())
+            if any(np.array_equal(r, faulty[0]) for r in r_in):
                 raise SvdFailureError("injected failure")
-            return real_extract(*args, **kwargs)
+            return real_solve(r_in, r_out, ranks)
 
-        monkeypatch.setattr(tomo, "extract", flaky_extract)
+        monkeypatch.setattr(tomo, "_solve", flaky_solve)
         report = tomo.run_experiment(shots=1280, batches=4, seed=16)
         statuses = [d.status for d in report.batch_details]
         assert statuses.count("ok") == 3
         assert any(s.startswith("failed") for s in statuses)
+        assert statuses[1] == "failed: injected failure"
         # aggregates come from the surviving batches only
         assert np.isfinite(report.fidelity_in.mean)
+
+
+def per_batch_report(shots, batches, seed, noise):
+    """The experiment rebuilt batch by batch from the public per-matrix
+    primitives: one generator per batch, inversion, pseudo-mode extraction,
+    projected probe predictions and fidelities."""
+    input_circuit, full_circuit = experiment_circuits()
+    circuits = (input_circuit, full_circuit)
+    targets = [run_exact(c, NOISELESS, (0, 1)) for c in circuits]
+    tables = [exact_pauli_probabilities(run_exact(c, noise, (0, 1))) for c in circuits]
+    m_reference = reference_channel_superoperator()
+    probes = probe_states(2)
+    reference_outputs = [project_to_state(propagate(m_reference, p.matrix)) for p in probes]
+    rows = []
+    for b in range(batches):
+        rng = np.random.Generator(np.random.PCG64(seed + b))
+        try:
+            rho_in, rho_out = (linear_inversion(rng.multinomial(shots // batches, t)) for t in tables)
+            result = extract(
+                bipartite(rho_in.matrix, 2, 2), bipartite(rho_out.matrix, 2, 2), mode="pseudo"
+            )
+            probe_fids = {
+                name: fidelity(project_to_state(propagate(result.m, p.matrix)), ref)
+                for name, p, ref in zip(PROBE_NAMES_QUBIT, probes, reference_outputs)
+            }
+        except AaqptError as exc:
+            rows.append({"status": f"failed: {exc}"})
+            continue
+        rows.append({
+            "status": "ok",
+            "fidelity_in": fidelity(targets[0], rho_in),
+            "fidelity_out": fidelity(targets[1], rho_out),
+            "probes": probe_fids,
+            "rho_in": rho_in.matrix,
+            "rho_out": rho_out.matrix,
+        })
+    return rows
+
+
+def mean_band(values):
+    values = np.asarray(values)
+    return values.mean(), 3 * np.std(values, ddof=1) if values.size > 1 else 0.0
+
+
+class TestStackedExperiment:
+    """run_experiment against the same experiment done one batch and one
+    matrix at a time."""
+
+    @pytest.mark.parametrize(
+        "shots, batches, seed, noise",
+        [(10240, 10, s, NOISELESS) for s in range(10)]
+        + [(10240, 10, s, NoiseModel(0.01, 0.03)) for s in range(10)]
+        + [(64, 4, 3, NOISELESS), (8, 8, 5, NOISELESS)],
+    )
+    def test_matches_per_batch_primitives(self, shots, batches, seed, noise):
+        report = run_experiment(shots, batches, seed, noise)
+        rows = per_batch_report(shots, batches, seed, noise)
+        assert [d.status for d in report.batch_details] == [r["status"] for r in rows]
+        for d, r in zip(report.batch_details, rows):
+            if d.status != "ok":
+                continue
+            assert abs(d.fidelity_in - r["fidelity_in"]) <= 1e-12
+            assert abs(d.fidelity_out - r["fidelity_out"]) <= 1e-12
+            assert d.probe_fidelities.keys() == r["probes"].keys()
+            for name, f in r["probes"].items():
+                assert abs(d.probe_fidelities[name] - f) <= 1e-12
+            assert np.abs(d.rho_in.matrix - r["rho_in"]).max() <= 1e-12
+            assert np.abs(d.rho_out.matrix - r["rho_out"]).max() <= 1e-12
+        ok = [r for r in rows if r["status"] == "ok"]
+        aggregates = [(report.fidelity_in, [r["fidelity_in"] for r in ok]),
+                      (report.fidelity_out, [r["fidelity_out"] for r in ok])]
+        aggregates += [(mb, [r["probes"][name] for r in ok])
+                       for name, mb in report.probe_fidelities.items()]
+        for mb, values in aggregates:
+            mean, band = mean_band(values)
+            assert abs(mb.mean - mean) <= 1e-12 and abs(mb.band - band) <= 1e-12
+
+    def test_counts_are_the_per_batch_draws(self, monkeypatch):
+        import aaqpt.tomography as tomo
+
+        real_tomograph = tomo._tomograph
+        drawn = []
+
+        def recording_tomograph(*args):
+            drawn.append(real_tomograph(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(tomo, "_tomograph", recording_tomograph)
+        noise = NoiseModel(0.01, 0.03)
+        tomo.run_experiment(1280, 4, 9, noise)
+        input_circuit, full_circuit = experiment_circuits()
+        tables = [exact_pauli_probabilities(run_exact(c, noise, (0, 1)))
+                  for c in (input_circuit, full_circuit)]
+        expected = []
+        for b in range(4):
+            rng = np.random.Generator(np.random.PCG64(9 + b))
+            expected += [rng.multinomial(320, t) for t in tables]
+        assert len(drawn) == len(expected)
+        assert all(np.array_equal(a, e) for a, e in zip(drawn, expected))
+
+
+def random_hermitian_stack(rng, batch, dim):
+    g = rng.normal(size=(batch, dim, dim)) + 1j * rng.normal(size=(batch, dim, dim))
+    return (g + g.conj().swapaxes(-1, -2)) / 2
+
+
+def random_state_stack(rng, batch, dim):
+    g = rng.normal(size=(batch, dim, dim)) + 1j * rng.normal(size=(batch, dim, dim))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+
+@given(batch=st.integers(min_value=1, max_value=6), seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernels_match_per_matrix_calls(batch, seed):
+    rng = np.random.default_rng(seed)
+    # shifted so that some matrices have no positive eigenvalue
+    raw = random_hermitian_stack(rng, batch, 4) - rng.uniform(0, 3) * np.eye(4)
+    projected, failures = _project(raw)
+    for m, rho, failure in zip(raw, projected, failures):
+        try:
+            expected = project_to_state(m)
+        except NotPhysicalError as exc:
+            assert str(failure) == str(exc)
+        else:
+            assert failure is None
+            assert np.abs(rho - expected.matrix).max() <= 1e-12
+    rhos, sigmas = random_state_stack(rng, batch, 4), random_state_stack(rng, batch, 4)
+    stacked = _fidelity(_root(rhos), sigmas)
+    for f, rho, sigma in zip(stacked, rhos, sigmas):
+        assert abs(f - fidelity(validate_density(rho), validate_density(sigma))) <= 1e-12

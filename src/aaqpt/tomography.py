@@ -22,12 +22,22 @@ per-matrix entry points (:func:`linear_inversion`, :func:`project_to_state`)
 are the same kernels applied to a stack of one.  A batch that fails a check
 is masked in the stacks, never raises, and reads ``failed: <message>`` with
 the first failure it meets, as if it had been processed on its own.
+
+What an experiment is scored against depends on none of its arguments: the
+noiseless target states and their square roots, the six probe states and
+their outputs under the reference map are built and checked once per
+process, on first use, and kept read-only, as is each gate's unitary.  A
+call computes only what its shots, batches, seed and noise change: the
+noisy evolution and its two register states (validated on every call), the
+draws, and everything after them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,6 +110,10 @@ class Gate:
     kind: str
     qubits: tuple[int, ...]
 
+    def __post_init__(self):
+        # a tuple keeps the gate hashable, the key of its cached unitary
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -148,6 +162,10 @@ class MeanBand:
 
 @dataclass(frozen=True)
 class BatchDetail:
+    """One batch of an experiment.  ``seed`` is the PCG64 seed of the
+    batch's generator, ``seed + batch`` for the run's ``seed``, or None when
+    the run used exact Born probabilities and drew nothing."""
+
     batch: int
     seed: int | None
     fidelity_in: float
@@ -228,25 +246,27 @@ def _cnot_unitary(control: int, target: int, n: int) -> np.ndarray:
     return u
 
 
+@functools.cache
 def _gate_unitary(gate: Gate, n: int) -> np.ndarray:
+    """The n-qubit unitary of ``gate``, built once per gate and register
+    size and shared read-only."""
     if gate.kind == "H":
-        return _single_qubit_unitary(_HADAMARD, gate.qubits[0], n)
-    if gate.kind == "I":
-        return np.eye(2**n)
-    return _cnot_unitary(gate.qubits[0], gate.qubits[1], n)
+        u = _single_qubit_unitary(_HADAMARD, gate.qubits[0], n)
+    elif gate.kind == "I":
+        u = np.eye(2**n)
+    else:
+        u = _cnot_unitary(gate.qubits[0], gate.qubits[1], n)
+    return _frozen(u)
 
 
 def _partial_trace_keep(rho: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    letters = "abcdefghijkl"
-    row = list(letters[:n])
-    col = list(letters[n : 2 * n])
-    for q in range(n):
-        if q not in keep:
-            col[q] = row[q]
-    out = "".join(row[q] for q in keep) + "".join(letters[n + q] for q in keep)
-    subscripts = "".join(row) + "".join(col) + "->" + out
+    # axis q of the reshaped rho is qubit q's row index, axis n + q its
+    # column index; a traced qubit's column takes its row's label, so einsum
+    # sums over it.  Integer labels serve any register a matrix can hold.
+    cols = [n + q if q in keep else q for q in range(n)]
+    out = list(keep) + [n + q for q in keep]
     dim = 2 ** len(keep)
-    return np.einsum(subscripts, rho.reshape([2] * (2 * n))).reshape(dim, dim)
+    return np.einsum(rho.reshape([2] * (2 * n)), list(range(n)) + cols, out).reshape(dim, dim)
 
 
 def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], lam: float, n: int) -> np.ndarray:
@@ -417,6 +437,25 @@ def _predict(m: np.ndarray, probe_vectors: np.ndarray) -> tuple[np.ndarray, np.n
     return _project(raw.reshape(raw.shape[:2] + (d, d)))
 
 
+@functools.cache
+def _scoring() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every experiment is scored against, whatever its arguments: the
+    square roots of the noiseless (input, output) targets (2, 4, 4), the
+    row-vectorized qubit probes (6, 16) and their outputs under the
+    reference map (6, 4, 4).  Built and checked on first use, then kept
+    read-only for the life of the process."""
+    targets = _register_states(NoiseModel())
+    probe_vectors = np.array([p.matrix.reshape(-1) for p in probe_states(2)])
+    reference_outputs, failures = _predict(
+        reference_channel_superoperator().matrix[None], probe_vectors
+    )
+    for failure in failures[0]:
+        if failure is not None:
+            raise failure
+    target_roots = _root(np.array([t.matrix for t in targets]))
+    return _frozen(target_roots), _frozen(probe_vectors), _frozen(reference_outputs[0])
+
+
 def _every_batch_failed(status: list[str | None]) -> AaqptError:
     return AaqptError(f"every batch failed; first error: {status[0]}")
 
@@ -484,6 +523,12 @@ def run_experiment(
     ``failed: <message>`` with the first failure it meets, in the order a
     lone batch would meet them, and the other batches still score; only a
     run whose every batch fails raises.
+
+    The noiseless targets, the probes and the reference outputs are built
+    and checked by the first call in a process and reused by every later
+    one; each call evolves the circuit under ``noise`` and validates the two
+    noisy register states itself.  ``seed`` must be a non-negative integer
+    (not a bool), else ParameterOutOfRangeError, with or without ``exact``.
     """
     noise = noise or NoiseModel()
     if batches < 1:
@@ -493,18 +538,12 @@ def run_experiment(
             raise ParameterOutOfRangeError(
                 f"shots ({shots}) must be a positive multiple of batches ({batches})"
             )
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterOutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
     shots_per_batch = shots // batches if not exact else 0
 
-    targets = _register_states(NoiseModel())
+    target_roots, probe_vectors, reference_outputs = _scoring()
     tables = [exact_pauli_probabilities(rho) for rho in _register_states(noise)]
-
-    probe_vectors = np.array([p.matrix.reshape(-1) for p in probe_states(2)])
-    reference_outputs, failures = _predict(
-        reference_channel_superoperator().matrix[None], probe_vectors
-    )
-    for failure in failures[0]:
-        if failure is not None:
-            raise failure
 
     seeds = [None] if exact else [seed + b for b in range(batches)]
     counts = []
@@ -529,9 +568,8 @@ def run_experiment(
     if all(status):
         raise _every_batch_failed(status)
 
-    target_roots = _root(np.array([t.matrix for t in targets]))
     state_fids = _fidelity(target_roots[:, None], rho)
-    probe_fids = _fidelity(_root(predicted), reference_outputs[0])
+    probe_fids = _fidelity(_root(predicted), reference_outputs)
 
     details = []
     for b, batch_seed in enumerate(seeds):
@@ -566,11 +604,15 @@ def run_experiment(
         details = [replace(details[0], batch=b) for b in range(batches)]
 
     ok = [d for d in details if d.status == "ok"]
-
-    def aggregate(values: list[float]) -> MeanBand:
-        arr = np.asarray(values, dtype=float)
-        band = 3.0 * float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        return MeanBand(mean=float(arr.mean()), band=band)
+    # one contiguous row per aggregate (input, output, then each probe):
+    # mean and std along a row give the bits of the same 1-D call
+    table = np.array(
+        [[d.fidelity_in for d in ok], [d.fidelity_out for d in ok]]
+        + [[d.probe_fidelities[name] for d in ok] for name in PROBE_NAMES_QUBIT]
+    )
+    means = table.mean(axis=1)
+    bands = 3.0 * table.std(axis=1, ddof=1) if len(ok) > 1 else np.zeros(len(table))
+    aggregates = [MeanBand(mean=float(m), band=float(b)) for m, b in zip(means, bands)]
 
     return ExperimentReport(
         shots=shots if not exact else 0,
@@ -579,11 +621,8 @@ def run_experiment(
         exact=exact,
         noise=noise,
         rng_name=RNG_NAME,
-        fidelity_in=aggregate([d.fidelity_in for d in ok]),
-        fidelity_out=aggregate([d.fidelity_out for d in ok]),
-        probe_fidelities={
-            name: aggregate([d.probe_fidelities[name] for d in ok])
-            for name in PROBE_NAMES_QUBIT
-        },
+        fidelity_in=aggregates[0],
+        fidelity_out=aggregates[1],
+        probe_fidelities=dict(zip(PROBE_NAMES_QUBIT, aggregates[2:])),
         batch_details=tuple(details),
     )

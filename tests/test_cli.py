@@ -207,6 +207,12 @@ class TestExperimentCommand:
         code, _ = run(capsys, ["experiment", "--noise-1q", "1.5"])
         assert code == 2
 
+    def test_negative_seed_exit_two(self, capsys):
+        assert main(["experiment", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+
 
 class TestBoundSweepCommand:
     def test_csv_output(self, capsys):

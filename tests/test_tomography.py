@@ -1,9 +1,11 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import aaqpt.tomography as tomo
 from aaqpt.catalog import PAULI_X, PAULIS, PROBE_NAMES_QUBIT, max_entangled, probe_states
 from aaqpt.channel import propagate
 from aaqpt.errors import (
@@ -104,6 +106,23 @@ class TestRunExact:
     def test_one_evolution_gives_both_registers_bit_for_bit(self, noise):
         for state, circuit in zip(_register_states(noise), experiment_circuits()):
             assert np.array_equal(state.matrix, run_exact(circuit, noise, (0, 1)).matrix)
+
+    def test_gate_qubits_given_as_list(self):
+        # the gate is the key of its cached unitary, so a list must not
+        # leave it unhashable
+        circuit = Circuit(2, (Gate("H", [0]), Gate("CNOT", [0, 1])))
+        assert circuit.gates[1] == Gate("CNOT", (0, 1))
+        rho = run_exact(circuit, NOISELESS, (0, 1))
+        assert np.abs(rho.matrix - BELL.matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_more_qubits_than_letters(self, lam):
+        # H on qubit 0 of seven, traced down to qubit 0: |+><+|, depolarized
+        # with strength lam by the noise after the gate
+        circuit = Circuit(7, (Gate("H", (0,)),))
+        rho = run_exact(circuit, NoiseModel(depolarizing_1q=lam), (0,))
+        plus = np.full((2, 2), 0.5)
+        assert np.abs(rho.matrix - ((1 - lam) * plus + lam * np.eye(2) / 2)).max() <= 1e-12
 
 
 def sample_counts(rho, shots, seed):
@@ -303,6 +322,16 @@ class TestRunExperiment:
         with pytest.raises(ParameterOutOfRangeError):
             run_experiment(shots=100, batches=7, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_seed_must_be_non_negative_integer(self, seed, exact):
+        with pytest.raises(ParameterOutOfRangeError, match="seed must be a non-negative integer"):
+            run_experiment(shots=1280, batches=4, seed=seed, exact=exact)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = run_experiment(shots=1280, batches=4, seed=np.int64(9))
+        assert report_to_json(a) == report_to_json(run_experiment(shots=1280, batches=4, seed=9))
+
     def test_error_bars_are_three_sigma(self):
         report = run_experiment(shots=2560, batches=5, seed=14)
         values = [d.fidelity_in for d in report.batch_details]
@@ -372,6 +401,69 @@ class TestRunExperiment:
         assert statuses[1] == "failed: injected failure"
         # aggregates come from the surviving batches only
         assert np.isfinite(report.fidelity_in.mean)
+
+
+def clear_caches():
+    tomo._scoring.cache_clear()
+    tomo._gate_unitary.cache_clear()
+
+
+def report_text(*args):
+    return json.dumps(report_to_json(run_experiment(*args)), sort_keys=True)
+
+
+class TestProcessConstants:
+    """What run_experiment builds once per process: the scoring constants
+    and the gate unitaries."""
+
+    def test_targets_are_noiseless_even_if_first_call_is_noisy(self):
+        clear_caches()
+        run_experiment(1280, 4, 9, NoiseModel(0.2, 0.3))
+        targets = [run_exact(c, NOISELESS, (0, 1)).matrix for c in experiment_circuits()]
+        assert np.array_equal(tomo._scoring()[0], _root(np.array(targets)))
+
+    def test_interleaved_noise_matches_cold_runs(self):
+        noises = [NoiseModel(0.01, 0.03), NoiseModel(0.05, 0.0), NoiseModel(0.01, 0.03)]
+        cold = []
+        for noise in noises:
+            clear_caches()
+            cold.append((report_text(2560, 5, 4, noise), report_text(0, 3, 4, noise, True)))
+        clear_caches()
+        warm = [(report_text(2560, 5, 4, noise), report_text(0, 3, 4, noise, True))
+                for noise in noises]
+        assert warm == cold
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = list(tomo._scoring())
+        circuit = experiment_circuits()[1]
+        arrays += [tomo._gate_unitary(g, circuit.qubit_count) for g in circuit.gates]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.5
+
+    def test_gate_unitaries_built_once(self):
+        clear_caches()
+        run_experiment(1280, 4, 9, NoiseModel(0.01, 0.03))
+        run_experiment(1280, 4, 10, NoiseModel(0.02, 0.04))
+        # the full circuit repeats I(0) and I(1); its six distinct gates are
+        # each built once, over both runs and both noise models
+        info = tomo._gate_unitary.cache_info()
+        assert info.currsize == len(set(experiment_circuits()[1].gates)) == 6
+        assert info.misses == 6
+
+    def test_only_register_states_validated_per_call(self, monkeypatch):
+        import aaqpt.catalog
+
+        run_experiment(1280, 4, 9)  # the constants exist from here on
+        calls = []
+        for module in (tomo, aaqpt.catalog):
+            real = module.validate_density
+            monkeypatch.setattr(
+                module, "validate_density",
+                lambda *a, real=real, **k: (calls.append(1), real(*a, **k))[1],
+            )
+        run_experiment(10240, 10, 7, NoiseModel(0.01, 0.03))
+        assert len(calls) == 2
 
 
 def per_batch_report(shots, batches, seed, noise):

@@ -39,7 +39,9 @@ from .qstate import (
     require_square,
     tensor,
     validate_density,
+    _check_tol,
     _frozen,
+    _min_eigenvalues,
 )
 from .realignment import _reshuffle
 
@@ -84,7 +86,9 @@ class Superoperator:
 
 def make_channel(kraus, tol: float = DEFAULT_TOL) -> KrausChannel:
     """Validate a Kraus set: square operators of one dimension satisfying
-    the completeness condition ``sum K^dag K = I`` within ``tol``."""
+    the completeness condition ``sum K^dag K = I`` within ``tol``, which
+    must be a finite number >= 0 (else ParameterOutOfRangeError)."""
+    _check_tol(tol)
     ops = [as_matrix(k) for k in kraus]
     if not ops:
         raise MixedDimensionsError("at least one Kraus operator is required")
@@ -128,7 +132,15 @@ def apply_extended(ch: KrausChannel, s: BipartiteState, tol: float = DEFAULT_TOL
 
 def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     """Validate a raw matrix as a Choi matrix: Hermitian, PSD, trace d,
-    and with identity marginal on the input factor (trace preservation)."""
+    and with identity marginal on the input factor (trace preservation).
+
+    Positivity is decided as in :func:`qstate.validate_density`: the
+    symmetrized matrix ``h`` passes when its smallest eigenvalue is at least
+    ``-tol``, at once when the Cholesky factorization of ``h + tol*I``
+    exists, else by its eigenvalues.  ``tol`` must be a finite number >= 0,
+    else ParameterOutOfRangeError.
+    """
+    _check_tol(tol)
     c = as_matrix(matrix)
     d2 = require_square(c)
     d = int(round(np.sqrt(d2)))
@@ -137,9 +149,9 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     herm_dev = float(np.abs(c - c.conj().T).max())
     if herm_dev > tol:
         raise NotHermitianError(herm_dev)
-    min_eig = float(np.linalg.eigvalsh((c + c.conj().T) / 2).min())
-    if min_eig < -tol:
-        raise NotPositiveError(min_eig)
+    min_eig = _min_eigenvalues((c + c.conj().T) / 2, tol)
+    if min_eig is not None and min_eig < -tol:
+        raise NotPositiveError(float(min_eig))
     if abs(np.trace(c) - d) > tol:
         raise NotTracePreservingError(float(abs(np.trace(c) - d)))
     marginal = np.einsum("ikil->kl", c.reshape(d, d, d, d))
@@ -226,8 +238,10 @@ def predict_output(m: Superoperator, sigma: DensityMatrix, tol: float = 1e-7) ->
     The default tolerance is deliberately looser than the validation default:
     an extracted M carries numerical noise.  Failing the density-matrix
     checks beyond ``tol`` raises :class:`NotPhysicalError`, which signals a
-    bad or partial M rather than a bad probe.
+    bad or partial M rather than a bad probe.  ``tol`` must be a finite
+    number >= 0, else ParameterOutOfRangeError.
     """
+    _check_tol(tol)
     out = propagate(m, sigma.matrix)
     try:
         return validate_density(out, tol=tol)

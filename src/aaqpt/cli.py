@@ -338,15 +338,16 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    # the indenting encoder is pure Python: run it once for --out and --json
+    text = json.dumps(result.payload, indent=2) if args.out or args.json else None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(result.payload, fh, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-    print(json.dumps(result.payload, indent=2) if args.json else result.human)
+    print(text if args.json else result.human)
     return result.exit_code
 
 

@@ -42,7 +42,7 @@ from .catalog import max_entangled, probe_states
 from .qstate import BipartiteState, trace_distance, _dagger, _frozen
 from .realignment import (
     SingularSpectrum,
-    realign,
+    _realigned,
     _realignment_values,
     _reshuffle,
     _spectrum,
@@ -181,7 +181,7 @@ def extract(
     if mode == "strict" and rank < required:
         raise NotFaithfulError(required - rank)
     m, residual, choi_eigs = _solve(
-        realign(input_state)[None], realign(output_state)[None], np.array([rank])
+        _realigned(input_state)[None], _realigned(output_state)[None], np.array([rank])
     )
     return ExtractionResult(
         m=Superoperator(dim=input_state.dim_a, matrix=_frozen(m[0])),
@@ -205,7 +205,7 @@ def reachable_report(
     """
     d_a = input_state.dim_a
     spectrum = _spectrum(_realignment_values(input_state), d_a * d_a, threshold)
-    u, _, _ = _svd(realign(input_state), compute_uv=True)
+    u, _, _ = _svd(_realigned(input_state), compute_uv=True)
     basis = tuple(
         _frozen(col.reshape(d_a, d_a).copy()) for col in u[:, spectrum.rank:].T
     )

@@ -25,6 +25,7 @@ from .errors import (
     NotPositiveError,
     NotSquareError,
     NotUnitTraceError,
+    ParameterOutOfRangeError,
 )
 
 #: Default absolute tolerance for validation (entrywise and eigenvalue
@@ -46,6 +47,12 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise AaqptError("matrix has non-finite (NaN or infinite) entries")
     return a
+
+
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a tolerance or threshold that is NaN, infinite or negative."""
+    if not 0.0 <= tol < np.inf:
+        raise ParameterOutOfRangeError(f"{name} must be a finite number >= 0, got {tol!r}")
 
 
 def require_square(m: np.ndarray) -> int:
@@ -93,6 +100,25 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _min_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray | None:
+    """The positivity test of every density and Choi check, on a stack
+    (..., d, d) of Hermitian matrices: None when no matrix has an eigenvalue
+    below ``-tol``, else each matrix's smallest eigenvalue, for the caller
+    to compare with ``-tol``.
+
+    One Cholesky factorization of ``h + tol*I`` passes the whole stack: it
+    exists exactly when every eigenvalue exceeds ``-tol``.  The eigenvalues
+    are computed only when it does not, so the verdict can differ from
+    theirs only for a smallest eigenvalue within round-off of ``-tol``.
+    """
+    try:
+        np.linalg.cholesky(h + tol * np.eye(h.shape[-1]))
+        return None
+    except np.linalg.LinAlgError:
+        # eigenvalues come sorted ascending, so the first is the smallest
+        return np.linalg.eigvalsh(h)[..., 0]
+
+
 def _density_failures(a: np.ndarray, tol: float) -> np.ndarray:
     """The density-matrix checks of :func:`validate_density` on each matrix
     of a finite stack (..., d, d), run all at once.
@@ -104,9 +130,10 @@ def _density_failures(a: np.ndarray, tol: float) -> np.ndarray:
     adjoint = _dagger(a)
     herm_dev = np.abs(a - adjoint).max(axis=(-2, -1))
     tr = np.trace(a, axis1=-2, axis2=-1)
-    # eigenvalues come sorted ascending, so the first is the smallest
-    min_eig = np.linalg.eigvalsh((a + adjoint) / 2)[..., 0]
-    bad = (herm_dev > tol) | (abs(tr - 1.0) > tol) | (min_eig < -tol)
+    min_eig = _min_eigenvalues((a + adjoint) / 2, tol)
+    bad = (herm_dev > tol) | (abs(tr - 1.0) > tol)
+    if min_eig is not None:
+        bad |= min_eig < -tol
     failures = np.empty(np.shape(bad), dtype=object)  # all None
     if not bad.any():
         return failures
@@ -123,14 +150,18 @@ def _density_failures(a: np.ndarray, tol: float) -> np.ndarray:
 def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap ``m``.
 
-    The Hermiticity check runs on the raw entries; the eigenvalue check runs
-    on the symmetrized matrix ``(m + m^dag)/2`` so that round-off in the
-    skew part cannot masquerade as negativity.  The stored entries are the
-    originals.
+    The Hermiticity check runs on the raw entries; the positivity check runs
+    on the symmetrized matrix ``h = (m + m^dag)/2`` so that round-off in the
+    skew part cannot masquerade as negativity.  ``h`` passes when its
+    smallest eigenvalue is at least ``-tol``: it passes at once when the
+    Cholesky factorization of ``h + tol*I`` exists, and otherwise its
+    eigenvalues decide.  The stored entries are the originals.
 
+    ``tol`` must be a finite number >= 0, else ParameterOutOfRangeError.
     Raises :class:`NotSquareError`, :class:`NotHermitianError`,
     :class:`NotUnitTraceError` or :class:`NotPositiveError`.
     """
+    _check_tol(tol)
     a = as_matrix(m)
     dim = require_square(a)
     failure = _density_failures(a, tol).item()

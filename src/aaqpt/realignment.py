@@ -27,6 +27,7 @@ from .qstate import (
     BipartiteState,
     as_matrix,
     partial_transpose,
+    _check_tol,
     _frozen,
     _split,
 )
@@ -81,9 +82,13 @@ class OperatorSchmidtDecomposition:
     ops_b: tuple[np.ndarray, ...]
 
 
-def default_threshold(max_singular_value: float, rows: int) -> float:
-    """Scale-aware rank cutoff: ``max(s_max * rows * 1e-12, 1e-12)``."""
-    return max(float(max_singular_value) * rows * 1e-12, 1e-12)
+def default_threshold(max_singular_value, rows: int):
+    """Scale-aware rank cutoff: ``max(s_max * rows * 1e-12, 1e-12)``.
+
+    A float for one ``s_max``, an array of cutoffs for an array of them.
+    """
+    tau = np.maximum(np.multiply(max_singular_value, rows) * 1e-12, 1e-12)
+    return float(tau) if tau.ndim == 0 else tau
 
 
 def _svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = True):
@@ -99,8 +104,11 @@ def _spectrum(values: np.ndarray, rows: int, threshold: float | None) -> Singula
     # the one place that turns singular values into a rank decision; the
     # values come from LAPACK sorted descending, so the ``rank`` largest are
     # exactly those above the threshold
-    smax = float(values[0]) if values.size else 0.0
-    tau = default_threshold(smax, rows) if threshold is None else float(threshold)
+    if threshold is None:
+        tau = default_threshold(float(values[0]) if values.size else 0.0, rows)
+    else:
+        _check_tol(threshold, "threshold")
+        tau = float(threshold)
     return SingularSpectrum(
         values=_frozen(values),
         sum=float(values.sum()),
@@ -109,11 +117,19 @@ def _spectrum(values: np.ndarray, rows: int, threshold: float | None) -> Singula
     )
 
 
+def _ranks(values: np.ndarray, rows: int) -> np.ndarray:
+    """The rank :func:`_spectrum` decides under the default threshold, for
+    each descending spectrum along the last axis of a stack (B, k)."""
+    tau = default_threshold(values[:, 0], rows)
+    return np.count_nonzero(values > tau[:, None], axis=-1)
+
+
 def singular_spectrum(m, threshold: float | None = None) -> SingularSpectrum:
     """All singular values of ``m``, with a rank decision.
 
     ``threshold`` overrides the default scale-aware cutoff; pass an explicit
-    value when working with data whose noise floor is known.
+    value when working with data whose noise floor is known.  It must be a
+    finite number >= 0, else ParameterOutOfRangeError.
     """
     a = as_matrix(m)
     return _spectrum(_svd(a, compute_uv=False), a.shape[0], threshold)
@@ -134,8 +150,15 @@ def _reshuffle(t: np.ndarray) -> np.ndarray:
     return t.swapaxes(-3, -2).reshape(t.shape[:-4] + (a * a, b * b))
 
 
+def _realigned(s: BipartiteState) -> np.ndarray:
+    # the state's matrix is validated, finite and square already, so it is
+    # reshuffled as it is: one copy, made by the reshape, which may instead
+    # be a read-only view of the matrix when a factor has dimension 1
+    return _reshuffle(s.matrix.reshape(s.dim_a, s.dim_b, s.dim_a, s.dim_b))
+
+
 def realign(s: BipartiteState) -> np.ndarray:
-    return realign_matrix(s.matrix, s.dim_a, s.dim_b)
+    return _realigned(s).copy()
 
 
 def _realignment_values(s: BipartiteState) -> np.ndarray:
@@ -143,7 +166,7 @@ def _realignment_values(s: BipartiteState) -> np.ndarray:
     # run once and stored on it; every rank decision about the state then
     # scales its threshold by the same s_max, bit for bit
     if s._realignment_values is None:
-        values = _frozen(_svd(realign(s), compute_uv=False))
+        values = _frozen(_svd(_realigned(s), compute_uv=False))
         object.__setattr__(s, "_realignment_values", values)
     return s._realignment_values
 
@@ -182,7 +205,7 @@ def operator_schmidt(s: BipartiteState) -> OperatorSchmidtDecomposition:
     conjugated right singular vectors, so that
     ``sum_k c_k A_k (x) B_k`` reconstructs the state.
     """
-    r = realign(s)
+    r = _realigned(s)
     u, values, vh = _svd(r, compute_uv=True)
     k = min(r.shape)
     ops_a = tuple(_frozen(u[:, i].reshape(s.dim_a, s.dim_a).copy()) for i in range(k))

@@ -22,7 +22,9 @@ from aaqpt.errors import (
     DimensionMismatchError,
     MixedDimensionsError,
     NotPhysicalError,
+    NotPositiveError,
     NotTracePreservingError,
+    ParameterOutOfRangeError,
 )
 from aaqpt.qstate import bipartite, tensor, validate_density
 from aaqpt.realignment import realign
@@ -337,3 +339,53 @@ class TestSuperopToChoi:
             assert np.abs(
                 superop_to_choi(superoperator(ch)) - choi_state(ch).matrix
             ).max() < 1e-12
+
+
+class TestChoiPositivity:
+    def test_min_eigenvalue_is_eigvalsh_bit_for_bit(self):
+        # Hermitian, trace 2 and trace preserving, but not positive
+        c = choi_state(bitflip_channel()).matrix + 0.1 * (
+            tensor(PAULI_Z, I2) + tensor(PAULI_X, PAULI_Y)
+        )
+        with pytest.raises(NotPositiveError) as excinfo:
+            make_choi(c)
+        assert excinfo.value.min_eigenvalue == np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
+
+    def test_zero_tolerance_accepts_exact_choi(self):
+        c = oracle_choi([I2], 2)
+        assert np.array_equal(make_choi(c, tol=0.0).matrix, c)
+        assert len(kraus_from_choi(c, tol=0.0).kraus) == 1
+        assert make_channel([I2], tol=0.0).dim == 2
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+class TestToleranceRange:
+    def test_make_channel_rejects(self, tol):
+        with pytest.raises(ParameterOutOfRangeError, match="tol must be a finite number >= 0"):
+            make_channel([3 * I2], tol=tol)
+        with pytest.raises(ParameterOutOfRangeError):
+            make_channel([I2], tol=tol)
+
+    def test_make_choi_and_kraus_from_choi_reject(self, tol):
+        c = oracle_choi([I2], 2)
+        with pytest.raises(ParameterOutOfRangeError):
+            make_choi(c, tol=tol)
+        with pytest.raises(ParameterOutOfRangeError):
+            kraus_from_choi(c, tol=tol)
+
+    def test_channel_actions_reject(self, tol):
+        ch = bitflip_channel()
+        rho = validate_density(np.outer(KET0, KET0.conj()))
+        with pytest.raises(ParameterOutOfRangeError):
+            apply(ch, rho, tol=tol)
+        with pytest.raises(ParameterOutOfRangeError):
+            apply_extended(ch, max_entangled(2), tol=tol)
+        with pytest.raises(ParameterOutOfRangeError):
+            apply_via_choi(choi_state(ch), rho, tol=tol)
+
+    def test_predict_output_rejects_before_checking_the_prediction(self, tol):
+        rho = validate_density(np.outer(KET0, KET0.conj()))
+        with pytest.raises(ParameterOutOfRangeError) as excinfo:
+            predict_output(superoperator(bitflip_channel()), rho, tol=tol)
+        assert not isinstance(excinfo.value, NotPhysicalError)
+        assert excinfo.value.__cause__ is None

@@ -180,6 +180,63 @@ class TestExtractAndPredict:
         assert seen == [0.0, 1e-7]
 
 
+class TestToleranceFlags:
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_faithful_rejects_bad_threshold(self, capsys, tol):
+        # --tol -1 used to print "faithful: yes" for the unfaithful sigma_E
+        code = main(["faithful", "--catalog", "sigmaE", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "threshold must be a finite number >= 0" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_extract_rejects_bad_threshold(self, capsys, tmp_path, tol):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(state_to_json(sigma_e(0.5))))
+        assert main(["extract", str(path), str(path), "--tol", tol]) == 2
+        assert "threshold must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_predict_rejects_bad_tolerance(self, capsys, tmp_path, bitflip_files):
+        in_file, out_file = bitflip_files
+        m_file = tmp_path / "m.json"
+        run(capsys, ["--out", str(m_file), "extract", in_file, out_file])
+        assert main(["predict", str(m_file), "--probe", "0", "--tol", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert "tol must be a finite number >= 0" in err
+        assert "not a physical state" not in err
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("json_flag", [["--json"], []])
+    def test_catalog_file_bytes_equal_stdout(self, capsys, tmp_path, json_flag):
+        path = tmp_path / "sigmaE.json"
+        code, out = run(capsys, json_flag + ["--out", str(path), "catalog", "sigmaE", "--p", "0.3"])
+        assert code == 0
+        text = json.dumps(state_to_json(sigma_e(0.3)), indent=2) + "\n"
+        assert path.read_bytes() == text.encode()
+        if json_flag:
+            assert out == text
+
+    def test_extract_file_bytes_equal_stdout(self, capsys, tmp_path, bitflip_files):
+        path = tmp_path / "m.json"
+        code, out = run(capsys, ["--json", "--out", str(path), "extract", *bitflip_files])
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+        assert json.loads(out)["mode"] == "strict"
+
+    def test_payload_is_encoded_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real_iterencode = json.JSONEncoder.iterencode
+
+        def counting_iterencode(self, *args, **kwargs):
+            calls.append(1)
+            return real_iterencode(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+        run(capsys, ["--json", "--out", str(tmp_path / "s.json"), "catalog", "bell2"])
+        assert len(calls) == 1
+
+
 class TestExperimentCommand:
     def test_exact_mode(self, capsys):
         code, doc = run_json(capsys, ["experiment", "--exact"])

@@ -6,7 +6,7 @@ import pytest
 from aaqpt import realignment
 from aaqpt.catalog import PAULI_X, horodecki, max_entangled, probe_states, sigma_e
 from aaqpt.channel import apply, apply_extended, make_channel, propagate, superoperator
-from aaqpt.errors import DimensionMismatchError, NotFaithfulError
+from aaqpt.errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
 from aaqpt.extraction import (
     demonstrate_unfaithfulness,
     extract,
@@ -150,6 +150,18 @@ class TestExtract:
         result = extract(bell, out, mode="strict")
         # the reference map is completely positive: Choi eigenvalues {0,0,1,1}
         assert np.allclose(np.sort(result.choi_eigenvalues), [0, 0, 1, 1], atol=1e-10)
+
+
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("mode", ["strict", "pseudo"])
+    def test_threshold_must_be_finite_and_nonnegative(self, mode, threshold):
+        # a negative threshold used to pass sigma_E(0.5) as full rank in
+        # strict mode and invert its zero singular values
+        s = sigma_e(0.5)
+        with pytest.raises(ParameterOutOfRangeError):
+            extract(s, s, mode=mode, threshold=threshold)
+        with pytest.raises(ParameterOutOfRangeError):
+            reachable_report(s, threshold=threshold)
 
 
 class TestReachableReport:

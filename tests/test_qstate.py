@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from aaqpt.catalog import horodecki, sigma_e
 from aaqpt.errors import (
     AaqptError,
     DimensionMismatchError,
@@ -8,8 +10,11 @@ from aaqpt.errors import (
     NotPositiveError,
     NotSquareError,
     NotUnitTraceError,
+    ParameterOutOfRangeError,
 )
 from aaqpt.qstate import (
+    DEFAULT_TOL,
+    _density_failures,
     bipartite,
     fidelity,
     partial_trace,
@@ -120,6 +125,146 @@ class TestValidateDensity:
         rho = validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
+
+
+def eigvalsh_failure(m, tol):
+    """The first density check ``m`` fails, decided with eigvalsh alone:
+    the reference the Cholesky-first positivity test must agree with."""
+    herm_dev = np.abs(m - m.conj().T).max()
+    if herm_dev > tol:
+        return NotHermitianError(herm_dev)
+    tr = np.trace(m)
+    if abs(tr - 1.0) > tol:
+        return NotUnitTraceError(tr)
+    min_eig = np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+    if min_eig < -tol:
+        return NotPositiveError(min_eig)
+    return None
+
+
+def same_failure(got, want):
+    if want is None:
+        return got is None
+    return type(got) is type(want) and vars(got) == vars(want)
+
+
+def unit_trace_hermitian(d, min_eig, seed):
+    """A Hermitian unit-trace matrix with smallest eigenvalue ``min_eig``,
+    the rest spread over [0, 1] in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    w = rng.uniform(0.0, 1.0, d)
+    w[0] = 0.0
+    w *= (1.0 - min_eig) / w.sum()
+    w[0] = min_eig
+    h = (q * w) @ q.conj().T
+    return (h + h.conj().T) / 2
+
+
+class TestPositivityTest:
+    @given(
+        d=st.sampled_from([2, 3, 4, 9]),
+        log_tol=st.floats(min_value=-9, max_value=-3),
+        log_gap=st.floats(min_value=-6, max_value=-2),
+        below=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cholesky_verdict_is_the_eigenvalue_verdict(self, d, log_tol, log_gap, below, seed):
+        tol = 10.0**log_tol
+        gap = 10.0**log_gap
+        m = unit_trace_hermitian(d, -tol * (1 + gap if below else 1 - gap), seed)
+        assume(abs(np.linalg.eigvalsh(m)[0] + tol) >= 1e-6 * tol)
+        want = eigvalsh_failure(m, tol)
+        try:
+            validate_density(m, tol=tol)
+        except AaqptError as exc:
+            assert same_failure(exc, want)
+        else:
+            assert want is None
+
+    def test_min_eigenvalue_is_eigvalsh_bit_for_bit(self):
+        for d, seed in ((2, 1), (4, 2), (9, 3), (16, 4)):
+            m = unit_trace_hermitian(d, -0.05, seed)
+            with pytest.raises(NotPositiveError) as excinfo:
+                validate_density(m)
+            assert excinfo.value.min_eigenvalue == np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+
+    def test_mixed_stack_reports_each_first_failure(self):
+        rng = np.random.default_rng(5)
+        valid = random_density_matrix(4, rng)
+        negative = valid - 0.5 * np.diag([1.0, 0.0, 0.0, 0.0])
+        negative /= np.trace(negative)
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1] = 1e-3
+        stack = np.array(
+            [
+                valid,
+                valid + skew,  # not Hermitian
+                negative + skew,  # not Hermitian, not positive
+                2 * valid,  # trace two
+                2 * negative,  # trace two, not positive
+                negative,  # not positive
+            ]
+        )
+        failures = _density_failures(stack, DEFAULT_TOL)
+        kinds = [type(f).__name__ if f is not None else None for f in failures]
+        assert kinds == [
+            None,
+            "NotHermitianError",
+            "NotHermitianError",
+            "NotUnitTraceError",
+            "NotUnitTraceError",
+            "NotPositiveError",
+        ]
+        for got, m in zip(failures, stack):
+            assert same_failure(got, eigvalsh_failure(m, DEFAULT_TOL))
+        grid = _density_failures(stack.reshape(2, 3, 4, 4), DEFAULT_TOL)
+        assert grid.shape == (2, 3)
+        assert all(same_failure(g, f) for g, f in zip(grid.flat, failures))
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.diag([1.0, 0.0]), sigma_e(0.5).matrix, horodecki(0.5).matrix],
+        ids=["ket0", "sigmaE", "horodecki"],
+    )
+    def test_zero_tolerance_decides_as_eigenvalues_do(self, m):
+        # a singular state has no Cholesky factor at tol = 0, so its
+        # eigenvalues, round-off and all, decide
+        want = eigvalsh_failure(m, 0.0)
+        try:
+            validate_density(m, tol=0.0)
+        except AaqptError as exc:
+            assert same_failure(exc, want)
+        else:
+            assert want is None
+
+    def test_valid_large_state_runs_no_eigensolver(self, monkeypatch):
+        m = random_density_matrix(144, np.random.default_rng(3))
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a valid state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert validate_density(m).dim == 144
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+class TestToleranceRange:
+    def test_validate_density_rejects(self, tol):
+        with pytest.raises(ParameterOutOfRangeError, match="tol must be a finite number >= 0"):
+            validate_density(np.diag([1.5, -0.5]), tol=tol)
+        with pytest.raises(ParameterOutOfRangeError):
+            validate_density(np.eye(2) / 2, tol=tol)
+
+    def test_bipartite_rejects(self, tol):
+        with pytest.raises(ParameterOutOfRangeError):
+            bipartite(BELL, 2, 2, tol=tol)
+
+    def test_partial_trace_rejects(self, tol):
+        with pytest.raises(ParameterOutOfRangeError):
+            partial_trace(bipartite(BELL, 2, 2), "B", tol=tol)
 
 
 class TestTensor:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aaqpt.catalog import horodecki, max_entangled, sigma_e
-from aaqpt.errors import UnequalDimensionsError
+from aaqpt.errors import ParameterOutOfRangeError, UnequalDimensionsError
 from aaqpt.qstate import (
     bipartite,
     partial_transpose_matrix,
@@ -10,6 +11,7 @@ from aaqpt.qstate import (
 )
 from aaqpt.realignment import (
     ccnr_sum,
+    default_threshold,
     is_faithful,
     operator_schmidt,
     ppt_min_eigenvalue,
@@ -19,6 +21,8 @@ from aaqpt.realignment import (
     realign_matrix,
     singular_spectrum,
     swap_operator,
+    _ranks,
+    _spectrum,
 )
 from aaqpt.sampling import (
     random_bipartite,
@@ -300,3 +304,51 @@ class TestPptMinEigenvalue:
         rng = np.random.default_rng(37)
         s = random_product_state(2, 2, rng)
         assert ppt_min_eigenvalue(s) >= -1e-10
+
+
+class TestFreshRealignment:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (2, 1), (1, 3)])
+    def test_public_realignments_are_fresh_and_writable(self, dims):
+        da, db = dims
+        s = random_bipartite(da, db, np.random.default_rng(da * 10 + db))
+        for r in (realign(s), realign_matrix(s.matrix, da, db)):
+            assert r.flags.writeable
+            assert not np.shares_memory(r, s.matrix)
+            np.testing.assert_array_equal(r, oracle_realign(s.matrix, da, db))
+            r[...] = 0.0
+        assert np.array_equal(realign(s), oracle_realign(s.matrix, da, db))
+
+
+@pytest.mark.parametrize("threshold", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_threshold_must_be_finite_and_nonnegative(threshold):
+    with pytest.raises(ParameterOutOfRangeError, match="threshold must be a finite number >= 0"):
+        is_faithful(sigma_e(0.5), threshold=threshold)
+    with pytest.raises(ParameterOutOfRangeError):
+        singular_spectrum(np.eye(2), threshold=threshold)
+
+
+def test_zero_threshold_is_valid():
+    verdict = is_faithful(max_entangled(3), threshold=0.0)
+    assert verdict.spectrum.threshold == 0.0
+    assert verdict.faithful
+
+
+@given(
+    batch=st.integers(1, 6),
+    rows=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_ranks_are_the_spectrum_ranks(batch, rows, seed):
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-14, 1, size=(batch, rows))
+    # one value of each spectrum on its cutoff or one ulp either side of it
+    s_max = values.max(axis=-1)
+    edge = default_threshold(s_max, rows) * rng.choice([1.0, 1 + 2**-52, 1 - 2**-53], batch)
+    values[:, -1] = np.minimum(edge, s_max)
+    values = -np.sort(-values, axis=-1)
+    cut = default_threshold(values[:, 0], rows)
+    ranks = _ranks(values, rows)
+    for v, rank, tau in zip(values, ranks, cut):
+        spectrum = _spectrum(v.copy(), rows, None)
+        assert rank == spectrum.rank
+        assert tau == spectrum.threshold == default_threshold(float(v[0]), rows)

@@ -377,6 +377,24 @@ class TestRunExperiment:
         assert statuses[2].startswith("failed") and "positive eigenvalue" in statuses[2]
         assert statuses.count("ok") == 7
 
+    def test_batch_ranks_are_the_spectrum_ranks(self, monkeypatch):
+        # every batch's rank comes from one stacked call, decided as
+        # _spectrum decides it batch by batch
+        from aaqpt.realignment import _spectrum
+
+        real_ranks = tomo._ranks
+        seen = []
+
+        def recording_ranks(values, rows):
+            seen.append((values.copy(), rows, real_ranks(values, rows)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(tomo, "_ranks", recording_ranks)
+        run_experiment(shots=8, batches=8, seed=5)
+        [(values, rows, ranks)] = seen
+        assert values.shape == (8, 4) and rows == 4
+        assert ranks.tolist() == [_spectrum(v.copy(), rows, None).rank for v in values]
+
     def test_failed_batches_are_marked_not_fatal(self, monkeypatch):
         import aaqpt.tomography as tomo
         from aaqpt.errors import SvdFailureError

@@ -141,8 +141,8 @@ def _solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray):
 
     Returns the stacked M of :func:`_right_solve`, each pair's residual
     ``max|r_out - M @ r_in|`` and the eigenvalues of each M's reshuffled
-    Choi matrix.  The rank decisions are the caller's, so that one place
-    (:func:`realignment._spectrum`) owns the threshold.
+    Choi matrix.  The rank decisions are the caller's, so that the rank
+    rule stays in :mod:`realignment` (``default_threshold`` and ``_ranks``).
     """
     m = _right_solve(r_in, r_out, ranks)
     residual = np.abs(r_out - m @ r_in).max(axis=(-2, -1))

@@ -100,10 +100,17 @@ def _svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = True):
         raise SvdFailureError(f"SVD did not converge: {exc}") from exc
 
 
+def _ranks(values: np.ndarray, tau) -> np.ndarray:
+    """The rank rule: how many values of each descending spectrum along the
+    last axis exceed its cutoff ``tau`` (one cutoff, or one per spectrum).
+    The values come from LAPACK sorted descending, so the ``rank`` largest
+    are exactly those above the cutoff."""
+    return np.count_nonzero(values > np.expand_dims(tau, -1), axis=-1)
+
+
 def _spectrum(values: np.ndarray, rows: int, threshold: float | None) -> SingularSpectrum:
-    # the one place that turns singular values into a rank decision; the
-    # values come from LAPACK sorted descending, so the ``rank`` largest are
-    # exactly those above the threshold
+    # every rank decision about one spectrum; the stacked experiment applies
+    # the same default_threshold and _ranks to all its batches at once
     if threshold is None:
         tau = default_threshold(float(values[0]) if values.size else 0.0, rows)
     else:
@@ -112,16 +119,9 @@ def _spectrum(values: np.ndarray, rows: int, threshold: float | None) -> Singula
     return SingularSpectrum(
         values=_frozen(values),
         sum=float(values.sum()),
-        rank=int(np.count_nonzero(values > tau)),
+        rank=int(_ranks(values, tau)),
         threshold=tau,
     )
-
-
-def _ranks(values: np.ndarray, rows: int) -> np.ndarray:
-    """The rank :func:`_spectrum` decides under the default threshold, for
-    each descending spectrum along the last axis of a stack (B, k)."""
-    tau = default_threshold(values[:, 0], rows)
-    return np.count_nonzero(values > tau[:, None], axis=-1)
 
 
 def singular_spectrum(m, threshold: float | None = None) -> SingularSpectrum:
@@ -158,15 +158,16 @@ def _realigned(s: BipartiteState) -> np.ndarray:
 
 
 def realign(s: BipartiteState) -> np.ndarray:
-    return _realigned(s).copy()
+    return realign_matrix(s.matrix, s.dim_a, s.dim_b)
 
 
 def _realignment_values(s: BipartiteState) -> np.ndarray:
     # the state is immutable, so the values-only SVD of its realignment is
     # run once and stored on it; every rank decision about the state then
-    # scales its threshold by the same s_max, bit for bit
+    # scales its threshold by the same s_max, bit for bit.  Being once per
+    # state, it keeps the public realign and its copies
     if s._realignment_values is None:
-        values = _frozen(_svd(_realigned(s), compute_uv=False))
+        values = _frozen(_svd(realign(s), compute_uv=False))
         object.__setattr__(s, "_realignment_values", values)
     return s._realignment_values
 

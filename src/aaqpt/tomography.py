@@ -65,7 +65,7 @@ from .qstate import (
     _root,
     validate_density,
 )
-from .realignment import _ranks, _reshuffle, _svd
+from .realignment import _ranks, _reshuffle, _svd, default_threshold
 
 RNG_NAME = "pcg64"
 
@@ -560,7 +560,7 @@ def run_experiment(
     # extraction in pseudo mode, as extract(..., mode="pseudo") does it
     r_in, r_out = _reshuffle(rho.reshape(rho.shape[:2] + (2, 2, 2, 2)))
     values = _by_batch(lambda r: _svd(r, compute_uv=False), status, r_in)
-    ranks = _ranks(values, r_in.shape[-2])
+    ranks = _ranks(values, default_threshold(values[:, 0], r_in.shape[-2]))
     m = _by_batch(_solve, status, r_in, r_out, ranks)[0]
 
     predicted, probe_failures = _predict(m, probe_vectors)

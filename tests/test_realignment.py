@@ -347,7 +347,7 @@ def test_stacked_ranks_are_the_spectrum_ranks(batch, rows, seed):
     values[:, -1] = np.minimum(edge, s_max)
     values = -np.sort(-values, axis=-1)
     cut = default_threshold(values[:, 0], rows)
-    ranks = _ranks(values, rows)
+    ranks = _ranks(values, cut)
     for v, rank, tau in zip(values, ranks, cut):
         spectrum = _spectrum(v.copy(), rows, None)
         assert rank == spectrum.rank

@@ -385,15 +385,15 @@ class TestRunExperiment:
         real_ranks = tomo._ranks
         seen = []
 
-        def recording_ranks(values, rows):
-            seen.append((values.copy(), rows, real_ranks(values, rows)))
-            return seen[-1][2]
+        def recording_ranks(values, tau):
+            seen.append((values.copy(), real_ranks(values, tau)))
+            return seen[-1][1]
 
         monkeypatch.setattr(tomo, "_ranks", recording_ranks)
         run_experiment(shots=8, batches=8, seed=5)
-        [(values, rows, ranks)] = seen
-        assert values.shape == (8, 4) and rows == 4
-        assert ranks.tolist() == [_spectrum(v.copy(), rows, None).rank for v in values]
+        [(values, ranks)] = seen
+        assert values.shape == (8, 4)
+        assert ranks.tolist() == [_spectrum(v.copy(), 4, None).rank for v in values]
 
     def test_failed_batches_are_marked_not_fatal(self, monkeypatch):
         import aaqpt.tomography as tomo

@@ -32,11 +32,14 @@ EXIT_VALIDATION = 2
 EXIT_NOT_FAITHFUL = 3
 EXIT_IO = 4
 
+# name: (description, parameters, the function that makes the state from the parsed args)
 _CATALOG = {
-    "bell2": ("maximally entangled two-qubit state", ()),
-    "bell3": ("maximally entangled two-qutrit state", ()),
-    "sigmaE": ("two-qutrit entangled-but-unfaithful mixture", ("p in [0, 1]",)),
-    "horodecki": ("3x3 bound entangled family", ("a in (0, 1)",)),
+    "bell2": ("maximally entangled two-qubit state", (), lambda args: max_entangled(2)),
+    "bell3": ("maximally entangled two-qutrit state", (), lambda args: max_entangled(3)),
+    "sigmaE": ("two-qutrit entangled-but-unfaithful mixture", ("p in [0, 1]",),
+               lambda args: sigma_e(args.p)),
+    "horodecki": ("3x3 bound entangled family", ("a in (0, 1)",),
+                  lambda args: horodecki(args.a)),
 }
 
 
@@ -67,17 +70,11 @@ def _load_json(path: str):
 
 
 def _catalog_state(name: str, args) -> BipartiteState:
-    if name == "bell2":
-        return max_entangled(2)
-    if name == "bell3":
-        return max_entangled(3)
-    if name == "sigmaE":
-        return sigma_e(args.p)
-    if name == "horodecki":
-        return horodecki(args.a)
-    raise AaqptError(
-        f"unknown catalog state {name!r}; available: {', '.join(sorted(_CATALOG))}"
-    )
+    if name not in _CATALOG:
+        raise AaqptError(
+            f"unknown catalog state {name!r}; available: {', '.join(sorted(_CATALOG))}"
+        )
+    return _CATALOG[name][2](args)
 
 
 def _resolve_state(args) -> BipartiteState:
@@ -236,7 +233,7 @@ def cmd_catalog(args) -> CommandResult:
     if not args.name:
         rows = [
             {"name": name, "description": desc, "parameters": list(params)}
-            for name, (desc, params) in sorted(_CATALOG.items())
+            for name, (desc, params, _) in sorted(_CATALOG.items())
         ]
         lines = ["available states:"]
         for row in rows:

@@ -14,6 +14,7 @@ the typed entry points take and return validated containers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,8 @@ def _check_tol(tol: float, name: str = "tol") -> None:
 
 
 def require_square(m: np.ndarray) -> int:
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] != m.shape[1] or not m.shape[0]:
+        raise NotSquareError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m.shape[0]
 
 
@@ -200,6 +201,19 @@ def _split(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return m.reshape(dim_a, dim_b, dim_a, dim_b)
 
 
+def _partial_trace_keep(m: np.ndarray, dims: tuple, keep: tuple) -> np.ndarray:
+    """The reduced matrix of ``m`` on the subsystems ``keep`` (ascending
+    positions in ``dims``, the dimensions of the tensor factors)."""
+    # axis i of the reshaped m is factor i's row index, axis n + i its column
+    # index; a traced factor's column takes its row's label, so einsum sums
+    # over it.  Integer labels serve any number of factors.
+    n = len(dims)
+    cols = [n + i if i in keep else i for i in range(n)]
+    out = list(keep) + [n + i for i in keep]
+    d = math.prod([dims[i] for i in keep])
+    return np.einsum(m.reshape(dims + dims), list(range(n)) + cols, out).reshape(d, d)
+
+
 def partial_trace_matrix(m, dim_a: int, dim_b: int, subsystem: str) -> np.ndarray:
     """Trace out one factor of a bare bipartite matrix.
 
@@ -207,11 +221,9 @@ def partial_trace_matrix(m, dim_a: int, dim_b: int, subsystem: str) -> np.ndarra
     trace exactly.  ``subsystem`` names the factor that is traced out.
     """
     t = _split(as_matrix(m), dim_a, dim_b)
-    if subsystem == "B":
-        return np.einsum("ikjk->ij", t)
-    if subsystem == "A":
-        return np.einsum("ikil->kl", t)
-    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    if subsystem not in ("A", "B"):
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return _partial_trace_keep(t, (dim_a, dim_b), (0,) if subsystem == "B" else (1,))
 
 
 def partial_trace(s: BipartiteState, subsystem: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -281,5 +293,8 @@ def purity(rho: DensityMatrix) -> float:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of the difference of two Hermitian matrices."""
-    diff = as_matrix(a) - as_matrix(b)
+    a, b = as_matrix(a), as_matrix(b)
+    if require_square(a) != require_square(b):
+        raise DimensionMismatchError(f"dimensions differ: {a.shape} vs {b.shape}")
+    diff = a - b
     return float(0.5 * np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())

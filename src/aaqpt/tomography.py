@@ -11,6 +11,14 @@ channel acting on q0.  The circuit pair produced by
 realizes, after tracing out q2, the bit-flip channel with Kraus operators
 {I, X}/sqrt(2), whose superoperator is (I (x) I + X (x) X) / 2.
 
+Every register operator is one tensor product of small matrices on their
+qubits (``_outer``): a gate's ``_GATES`` matrix with the identity on the
+other qubits, or the noise's I/2^k on a gate's k qubits with the partial
+trace over them (``qstate._partial_trace_keep``) on the rest.  Qubit
+indices, ``keep``, shots, batches and seed must be integers and noise
+probabilities real numbers, none of them bools, else
+ParameterOutOfRangeError.
+
 Randomness comes exclusively from numpy's PCG64 generator with explicit
 64-bit seeds; batch b of an experiment uses seed + b, which makes reports
 bit-identical across reruns and batches exchangeable.
@@ -26,10 +34,10 @@ the first failure it meets, as if it had been processed on its own.
 What an experiment is scored against depends on none of its arguments: the
 noiseless target states and their square roots, the six probe states and
 their outputs under the reference map are built and checked once per
-process, on first use, and kept read-only, as is each gate's unitary.  A
-call computes only what its shots, batches, seed and noise change: the
-noisy evolution and its two register states (validated on every call), the
-draws, and everything after them.
+process, on first use, and kept read-only, as are the two circuits and each
+gate's unitary.  A call computes only what its shots, batches, seed and
+noise change: the noisy evolution and its two register states (validated on
+every call), the draws, and everything after them.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,18 +70,24 @@ from .qstate import (
     _density_failures,
     _fidelity,
     _frozen,
+    _partial_trace_keep,
     _root,
+    require_square,
     validate_density,
 )
 from .realignment import _ranks, _reshuffle, _svd, default_threshold
 
 RNG_NAME = "pcg64"
 
-_GATE_KINDS = ("H", "I", "CNOT")
-
 BASIS_SETTINGS = tuple(itertools.product("XYZ", repeat=2))
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# Each gate kind's matrix on its own qubits, in the order a Gate lists them
+# (control, then target, for CNOT).
+_GATES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "I": np.eye(2),
+    "CNOT": np.eye(4)[[0, 1, 3, 2]],
+}
 
 # +1 / -1 eigenvectors of each Pauli, in outcome order.
 _PAULI_EIGENVECTORS = {
@@ -105,6 +119,16 @@ _INVERSION = np.array([
 ])
 
 
+def _integer_in(value, low: int, high: float = math.inf) -> bool:
+    """Whether ``value`` is an integer, not a bool, with low <= value < high."""
+    # a plain int first: an isinstance check against the ABC takes about a
+    # microsecond, as long as the rest of a gate's validation
+    integer = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+    return integer and low <= value < high
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -117,30 +141,38 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered list of H, I and CNOT gates on a fixed register."""
+    """An ordered list of H, I and CNOT gates on a register of
+    ``qubit_count >= 1`` qubits, each gate on integer qubit indices (not
+    bools) inside it."""
 
     qubit_count: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        if not _integer_in(self.qubit_count, 1):
+            raise ParameterOutOfRangeError(
+                f"qubit_count must be a positive integer, got {self.qubit_count!r}"
+            )
         for gate in self.gates:
-            if gate.kind not in _GATE_KINDS:
+            if gate.kind not in _GATES:
                 raise ParameterOutOfRangeError(f"unknown gate kind {gate.kind!r}")
-            if any(q < 0 or q >= self.qubit_count for q in gate.qubits):
+            if not all(_integer_in(q, 0, self.qubit_count) for q in gate.qubits):
                 raise ParameterOutOfRangeError(
-                    f"gate {gate} touches a qubit outside 0..{self.qubit_count - 1}"
+                    f"gate {gate} needs integer qubits in 0..{self.qubit_count - 1}"
                 )
-            want = 2 if gate.kind == "CNOT" else 1
-            if len(gate.qubits) != want:
+            dim = len(_GATES[gate.kind])
+            if 2 ** len(gate.qubits) != dim:
+                want = dim.bit_length() - 1
                 raise ParameterOutOfRangeError(f"gate {gate} needs {want} qubit(s)")
-            if gate.kind == "CNOT" and gate.qubits[0] == gate.qubits[1]:
+            if len(set(gate.qubits)) < len(gate.qubits):
                 raise ParameterOutOfRangeError("CNOT control and target must differ")
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Gate-local depolarizing noise: after every gate, each touched qubit
-    set is depolarized with the corresponding probability."""
+    set is depolarized with the corresponding probability, a real number
+    (not a bool) in [0, 1]."""
 
     depolarizing_1q: float = 0.0
     depolarizing_2q: float = 0.0
@@ -148,8 +180,8 @@ class NoiseModel:
     def __post_init__(self):
         for name, lam in (("depolarizing_1q", self.depolarizing_1q),
                           ("depolarizing_2q", self.depolarizing_2q)):
-            if not 0.0 <= lam <= 1.0:
-                raise ParameterOutOfRangeError(f"{name} must lie in [0, 1], got {lam}")
+            if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam <= 1:
+                raise ParameterOutOfRangeError(f"{name} must lie in [0, 1], got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -202,8 +234,10 @@ class ExperimentReport:
         return tuple(b.rho_out for b in self.batch_details)
 
 
+@functools.cache
 def experiment_circuits() -> tuple[Circuit, Circuit]:
-    """The input-preparation circuit and the full channel circuit.
+    """The input-preparation circuit and the full channel circuit, built and
+    validated once and shared (both are immutable).
 
     The input circuit entangles (q0, q1) and then idles them through
     identity gates for the two layers the channel part of the full circuit
@@ -225,74 +259,35 @@ def experiment_circuits() -> tuple[Circuit, Circuit]:
     return Circuit(3, prep), Circuit(3, prep + channel_part)
 
 
-def _bit(index: int, qubit: int, n: int) -> int:
-    return (index >> (n - 1 - qubit)) & 1
-
-
-def _single_qubit_unitary(u2: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    factors = [u2 if q == qubit else np.eye(2) for q in range(n)]
-    full = factors[0]
-    for f in factors[1:]:
-        full = np.kron(full, f)
-    return full
-
-
-def _cnot_unitary(control: int, target: int, n: int) -> np.ndarray:
-    dim = 2**n
-    u = np.zeros((dim, dim))
-    for col in range(dim):
-        row = col ^ (1 << (n - 1 - target)) if _bit(col, control, n) else col
-        u[row, col] = 1.0
-    return u
+def _outer(parts, n: int) -> np.ndarray:
+    """The n-qubit operator that is the tensor product of ``parts``, pairs of
+    a (2^k, 2^k) matrix and the k qubits it acts on (in its own factor
+    order), which together name every qubit once."""
+    factors = [m.reshape([2] * (2 * len(q))) for m, q in parts]
+    tensor = functools.reduce(np.multiply.outer, factors)
+    # an axis is labelled by its qubit q as a row index, n + q as a column
+    # index; sorting the labels puts the axes in global qubit order
+    labels = [q + n * column for _, qs in parts for column in (0, 1) for q in qs]
+    return tensor.transpose(sorted(range(2 * n), key=labels.__getitem__)).reshape(2**n, 2**n)
 
 
 @functools.cache
 def _gate_unitary(gate: Gate, n: int) -> np.ndarray:
     """The n-qubit unitary of ``gate``, built once per gate and register
     size and shared read-only."""
-    if gate.kind == "H":
-        u = _single_qubit_unitary(_HADAMARD, gate.qubits[0], n)
-    elif gate.kind == "I":
-        u = np.eye(2**n)
-    else:
-        u = _cnot_unitary(gate.qubits[0], gate.qubits[1], n)
-    return _frozen(u)
-
-
-def _partial_trace_keep(rho: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    # axis q of the reshaped rho is qubit q's row index, axis n + q its
-    # column index; a traced qubit's column takes its row's label, so einsum
-    # sums over it.  Integer labels serve any register a matrix can hold.
-    cols = [n + q if q in keep else q for q in range(n)]
-    out = list(keep) + [n + q for q in keep]
-    dim = 2 ** len(keep)
-    return np.einsum(rho.reshape([2] * (2 * n)), list(range(n)) + cols, out).reshape(dim, dim)
+    rest = tuple(q for q in range(n) if q not in gate.qubits)
+    return _frozen(_outer(((_GATES[gate.kind], gate.qubits), (np.eye(2 ** len(rest)), rest)), n))
 
 
 def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], lam: float, n: int) -> np.ndarray:
     if lam == 0.0:
         return rho
-    touched = tuple(sorted(qubits))
-    rest = tuple(q for q in range(n) if q not in touched)
-    k, m = len(touched), len(rest)
-    mixed_part = (np.eye(2**k) / 2**k).reshape([2] * (2 * k))
-    if m:
-        sigma = _partial_trace_keep(rho, rest, n)
-        full = np.multiply.outer(mixed_part, sigma.reshape([2] * (2 * m)))
-    else:
-        full = mixed_part * complex(np.trace(rho))
-    # full axes: touched rows, touched cols, rest rows, rest cols; permute
-    # into global (row q0..qn-1, col q0..qn-1) order.
-    row_pos, col_pos = {}, {}
-    for i, q in enumerate(touched):
-        row_pos[q] = i
-        col_pos[q] = k + i
-    for j, q in enumerate(rest):
-        row_pos[q] = 2 * k + j
-        col_pos[q] = 2 * k + m + j
-    perm = [row_pos[q] for q in range(n)] + [col_pos[q] for q in range(n)]
-    mixed = full.transpose(perm).reshape(2**n, 2**n)
-    return (1 - lam) * rho + lam * mixed
+    rest = tuple(q for q in range(n) if q not in qubits)
+    mixed = np.eye(2 ** len(qubits)) / 2 ** len(qubits)
+    # with no qubit left, the trace: np.trace adds the diagonal in order,
+    # an einsum over every axis in another order, with other last bits
+    sigma = _partial_trace_keep(rho, (2,) * n, rest) if rest else np.trace(rho)
+    return (1 - lam) * rho + lam * _outer(((mixed, qubits), (sigma, rest)), n)
 
 
 def _evolve(rho: np.ndarray, gates: tuple[Gate, ...], noise: NoiseModel, n: int) -> np.ndarray:
@@ -318,14 +313,16 @@ def run_exact(circuit: Circuit, noise: NoiseModel, keep: tuple[int, ...]) -> Den
 
     Unitaries act exactly; after each gate the touched qubits are
     depolarized per the noise model (1-qubit strength for H and I, 2-qubit
-    strength for CNOT).
+    strength for CNOT).  ``keep`` names distinct integer qubits (not
+    bools), in any order; the result is in ascending qubit order.
     """
     n = circuit.qubit_count
-    keep = tuple(sorted(keep))
-    if not keep or any(q < 0 or q >= n for q in keep):
+    keep = tuple(keep)
+    if not keep or not all(_integer_in(q, 0, n) for q in keep) or len(set(keep)) < len(keep):
         raise ParameterOutOfRangeError(f"keep={keep} is not a valid qubit subset")
+    keep = tuple(sorted(keep))
     rho = _evolve(_ground_state(n), circuit.gates, noise, n)
-    return validate_density(_partial_trace_keep(rho, keep, n))
+    return validate_density(_partial_trace_keep(rho, (2,) * n, keep))
 
 
 def _register_states(noise: NoiseModel) -> tuple[DensityMatrix, DensityMatrix]:
@@ -338,7 +335,8 @@ def _register_states(noise: NoiseModel) -> tuple[DensityMatrix, DensityMatrix]:
     after_input = _evolve(_ground_state(n), input_circuit.gates, noise, n)
     after_full = _evolve(after_input, full_circuit.gates[prefix:], noise, n)
     return tuple(
-        validate_density(_partial_trace_keep(rho, (0, 1), n)) for rho in (after_input, after_full)
+        validate_density(_partial_trace_keep(rho, (2,) * n, (0, 1)))
+        for rho in (after_input, after_full)
     )
 
 
@@ -383,6 +381,7 @@ def project_to_state(matrix: np.ndarray) -> DensityMatrix:
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-D matrix, got array of shape {a.shape}")
+    require_square(a)
     return _single(*_project(a))
 
 
@@ -527,19 +526,23 @@ def run_experiment(
     The noiseless targets, the probes and the reference outputs are built
     and checked by the first call in a process and reused by every later
     one; each call evolves the circuit under ``noise`` and validates the two
-    noisy register states itself.  ``seed`` must be a non-negative integer
-    (not a bool), else ParameterOutOfRangeError, with or without ``exact``.
+    noisy register states itself.  ``shots``, ``batches`` and ``seed`` must
+    be integers (not bools), ``batches >= 1`` and ``seed >= 0``, else
+    ParameterOutOfRangeError, with or without ``exact``.
     """
     noise = noise or NoiseModel()
+    for name, value in (("shots", shots), ("batches", batches)):
+        if not _integer_in(value, -math.inf):
+            raise ParameterOutOfRangeError(f"{name} must be an integer, got {value!r}")
     if batches < 1:
         raise ParameterOutOfRangeError(f"need batches >= 1, got {batches}")
-    if not exact:
-        if shots < batches or shots % batches:
-            raise ParameterOutOfRangeError(
-                f"shots ({shots}) must be a positive multiple of batches ({batches})"
-            )
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not exact and (shots < batches or shots % batches):
+        raise ParameterOutOfRangeError(
+            f"shots ({shots}) must be a positive multiple of batches ({batches})"
+        )
+    if not _integer_in(seed, 0):
         raise ParameterOutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
+    shots, batches, seed = int(shots), int(batches), int(seed)  # numpy integers too
     shots_per_batch = shots // batches if not exact else 0
 
     target_roots, probe_vectors, reference_outputs = _scoring()
@@ -568,50 +571,26 @@ def run_experiment(
     if all(status):
         raise _every_batch_failed(status)
 
-    state_fids = _fidelity(target_roots[:, None], rho)
-    probe_fids = _fidelity(_root(predicted), reference_outputs)
-
-    details = []
-    for b, batch_seed in enumerate(seeds):
-        if status[b] is None:
-            details.append(
-                BatchDetail(
-                    batch=b,
-                    seed=batch_seed,
-                    fidelity_in=float(state_fids[0, b]),
-                    fidelity_out=float(state_fids[1, b]),
-                    probe_fidelities={
-                        name: float(f) for name, f in zip(PROBE_NAMES_QUBIT, probe_fids[b])
-                    },
-                    rho_in=DensityMatrix(dim=4, matrix=_frozen(rho[0, b])),
-                    rho_out=DensityMatrix(dim=4, matrix=_frozen(rho[1, b])),
-                )
-            )
-        else:
-            details.append(
-                BatchDetail(
-                    batch=b,
-                    seed=batch_seed,
-                    fidelity_in=float("nan"),
-                    fidelity_out=float("nan"),
-                    probe_fidelities={},
-                    rho_in=None,
-                    rho_out=None,
-                    status=status[b],
-                )
-            )
-    if exact:
-        details = [replace(details[0], batch=b) for b in range(batches)]
-
-    ok = [d for d in details if d.status == "ok"]
-    # one contiguous row per aggregate (input, output, then each probe):
-    # mean and std along a row give the bits of the same 1-D call
-    table = np.array(
-        [[d.fidelity_in for d in ok], [d.fidelity_out for d in ok]]
-        + [[d.probe_fidelities[name] for d in ok] for name in PROBE_NAMES_QUBIT]
-    )
+    # one row per score (input, output, then each probe), one column per batch
+    scores = np.concatenate([_fidelity(target_roots[:, None], rho),
+                             _fidelity(_root(predicted), reference_outputs).T])
+    # an exact run computes its one batch once and repeats it
+    columns = [0] * batches if exact else range(len(seeds))
+    details = [
+        BatchDetail(b, seeds[i], math.nan, math.nan, {}, None, None, status[i]) if status[i]
+        else BatchDetail(
+            b, seeds[i], float(scores[0, i]), float(scores[1, i]),
+            {name: float(f) for name, f in zip(PROBE_NAMES_QUBIT, scores[2:, i])},
+            DensityMatrix(dim=4, matrix=_frozen(rho[0, i])),
+            DensityMatrix(dim=4, matrix=_frozen(rho[1, i])),
+        )
+        for b, i in enumerate(columns)
+    ]
+    # the surviving batches' columns, copied into contiguous rows: mean and
+    # std along a row give the bits of the same 1-D call
+    table = np.ascontiguousarray(scores[:, [i for i in columns if status[i] is None]])
     means = table.mean(axis=1)
-    bands = 3.0 * table.std(axis=1, ddof=1) if len(ok) > 1 else np.zeros(len(table))
+    bands = 3.0 * table.std(axis=1, ddof=1) if table.shape[1] > 1 else np.zeros(len(table))
     aggregates = [MeanBand(mean=float(m), band=float(b)) for m, b in zip(means, bands)]
 
     return ExperimentReport(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import aaqpt
-from aaqpt.catalog import PAULI_X, max_entangled, sigma_e
+from aaqpt.catalog import PAULI_X, horodecki, max_entangled, sigma_e
 from aaqpt.channel import apply_extended, make_channel
 from aaqpt.cli import main
 from aaqpt.qstate import tensor
@@ -87,8 +87,9 @@ class TestFaithfulCommand:
         assert code == 2
 
     def test_unknown_catalog_exit_two(self, capsys):
-        code, _ = run(capsys, ["faithful", "--catalog", "nosuch"])
-        assert code == 2
+        assert main(["faithful", "--catalog", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown catalog state 'nosuch'; available: bell2, bell3, horodecki, sigmaE" in err
 
     def test_bad_parameter_exit_two(self, capsys):
         code, _ = run(capsys, ["faithful", "--catalog", "sigmaE", "--p", "1.5"])
@@ -309,6 +310,22 @@ class TestCatalogCommand:
         assert doc["dims"] == [3, 3]
         code, verdict = run_json(capsys, ["faithful", "--file", str(out)])
         assert code == 3 and verdict["kernelDimension"] == 2
+
+    @pytest.mark.parametrize("name, params, expected", [
+        ("bell2", [], lambda: max_entangled(2)),
+        ("bell3", [], lambda: max_entangled(3)),
+        ("sigmaE", ["--p", "0.3"], lambda: sigma_e(0.3)),
+        ("horodecki", ["--a", "0.7"], lambda: horodecki(0.7)),
+    ])
+    def test_each_entry_exports_its_state(self, capsys, name, params, expected):
+        code, doc = run_json(capsys, ["catalog", name] + params)
+        assert code == 0
+        assert doc == json.loads(json.dumps(state_to_json(expected())))
+
+    def test_unknown_name_exit_two(self, capsys):
+        assert main(["catalog", "nosuch"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown catalog state 'nosuch'" in err
 
 
 class TestParserReuse:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -15,6 +17,7 @@ from aaqpt.errors import (
 from aaqpt.qstate import (
     DEFAULT_TOL,
     _density_failures,
+    _partial_trace_keep,
     bipartite,
     fidelity,
     partial_trace,
@@ -102,6 +105,10 @@ class TestValidateDensity:
     def test_non_square_rejected(self):
         with pytest.raises(NotSquareError):
             validate_density(np.ones((2, 3)) / 6)
+
+    def test_empty_rejected(self):
+        with pytest.raises(NotSquareError):
+            validate_density(np.zeros((0, 0)))
 
     @pytest.mark.parametrize(
         "bad",
@@ -349,6 +356,33 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatchError):
             partial_trace_matrix(np.eye(6) / 6, 2, 2, "B")
 
+    @pytest.mark.parametrize("dim_a", range(1, 5))
+    @pytest.mark.parametrize("dim_b", range(1, 5))
+    def test_every_factor_size_matches_loop_oracle(self, dim_a, dim_b):
+        rng = np.random.default_rng(10 * dim_a + dim_b)
+        d = dim_a * dim_b
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for subsystem in ("A", "B"):
+            assert np.allclose(
+                partial_trace_matrix(m, dim_a, dim_b, subsystem),
+                oracle_partial_trace(m, dim_a, dim_b, subsystem),
+                atol=1e-13,
+            )
+
+    @pytest.mark.parametrize(
+        "dims, keep", [((2, 3, 2), (0, 2)), ((3, 1, 2), (1,)), ((2, 2, 2, 2), (1, 3)),
+                       ((2, 3), (0, 1)), ((2, 2), ())],
+    )
+    def test_any_factors_of_a_product(self, dims, keep):
+        # Tr over the other factors of a product of unnormalized factors:
+        # the product of the kept factors times the other factors' traces
+        rng = np.random.default_rng(sum(dims))
+        factors = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+        kept = functools.reduce(np.kron, [factors[i] for i in keep], np.eye(1))
+        scale = np.prod([np.trace(f) for i, f in enumerate(factors) if i not in keep])
+        got = _partial_trace_keep(functools.reduce(np.kron, factors), dims, keep)
+        assert np.allclose(got, scale * kept, atol=1e-12)
+
 
 class TestPartialTranspose:
     def test_product_state(self):
@@ -466,6 +500,15 @@ class TestTraceDistance:
         a = np.outer(KET0, KET0)
         b = np.outer(KET1, KET1)
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            trace_distance(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((0, 0))])
+    def test_non_square_or_empty_rejected(self, bad):
+        with pytest.raises(NotSquareError):
+            trace_distance(bad, bad)
 
 
 class TestBipartite:

@@ -1,3 +1,4 @@
+import functools
 import json
 import warnings
 
@@ -12,6 +13,7 @@ from aaqpt.errors import (
     AaqptError,
     MissingBasisError,
     NotPhysicalError,
+    NotSquareError,
     ParameterOutOfRangeError,
 )
 from aaqpt.extraction import extract
@@ -63,6 +65,33 @@ class TestCircuitValidation:
         with pytest.raises(ParameterOutOfRangeError):
             NoiseModel(depolarizing_2q=-0.1)
 
+    @pytest.mark.parametrize("qubit", [0.5, 1.0, True, False, "0", None])
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(0.01, 0.03)])
+    def test_qubit_indices_must_be_integers(self, qubit, noise):
+        with pytest.raises(ParameterOutOfRangeError, match="needs integer qubits"):
+            Circuit(2, (Gate("H", (qubit,)),))
+        with pytest.raises(ParameterOutOfRangeError, match="needs integer qubits"):
+            Circuit(2, (Gate("CNOT", (0, qubit)),))
+
+    def test_numpy_integer_qubits_accepted(self):
+        circuit = Circuit(np.int64(2), (Gate("H", (np.int64(0),)), Gate("CNOT", (0, np.int32(1)))))
+        rho = run_exact(circuit, NoiseModel(0.01, 0.03), (0, 1))
+        assert np.array_equal(rho.matrix, run_exact(
+            Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))), NoiseModel(0.01, 0.03), (0, 1)
+        ).matrix)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.0, True, "2", None])
+    def test_qubit_count_must_be_positive_integer(self, count):
+        with pytest.raises(ParameterOutOfRangeError, match="qubit_count must be a positive"):
+            Circuit(count, ())
+
+    @pytest.mark.parametrize("lam", ["a", None, True, 1j, float("nan"), float("inf")])
+    def test_noise_probabilities_must_be_real(self, lam):
+        with pytest.raises(ParameterOutOfRangeError, match="must lie in"):
+            NoiseModel(lam, 0.0)
+        with pytest.raises(ParameterOutOfRangeError, match="must lie in"):
+            NoiseModel(0.0, lam)
+
 
 class TestExperimentCircuits:
     def test_input_circuit_prepares_maximally_entangled_pair(self):
@@ -102,6 +131,18 @@ class TestRunExact:
         with pytest.raises(ParameterOutOfRangeError):
             run_exact(input_circuit, NOISELESS, keep=(5,))
 
+    @pytest.mark.parametrize("keep", [(1, 1), (0, 1, 0), (0.0,), (True,), (0, "1"), (None,), ()])
+    def test_keep_must_be_distinct_integers(self, keep):
+        input_circuit, _ = experiment_circuits()
+        with pytest.raises(ParameterOutOfRangeError, match="not a valid qubit subset"):
+            run_exact(input_circuit, NoiseModel(0.01, 0.03), keep)
+
+    def test_keep_order_does_not_matter(self):
+        _, full_circuit = experiment_circuits()
+        noise = NoiseModel(0.01, 0.03)
+        a = run_exact(full_circuit, noise, (2, 0)).matrix
+        assert np.array_equal(a, run_exact(full_circuit, noise, (0, 2)).matrix)
+
     @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(0.01, 0.03)])
     def test_one_evolution_gives_both_registers_bit_for_bit(self, noise):
         for state, circuit in zip(_register_states(noise), experiment_circuits()):
@@ -123,6 +164,103 @@ class TestRunExact:
         rho = run_exact(circuit, NoiseModel(depolarizing_1q=lam), (0,))
         plus = np.full((2, 2), 0.5)
         assert np.abs(rho.matrix - ((1 - lam) * plus + lam * np.eye(2) / 2)).max() <= 1e-12
+
+
+def placed(n, first, second):
+    """Basis index of |a>|t>, with a's bits on the qubits ``first`` and t's
+    on the qubits ``second`` (qubit 0 most significant), as an array
+    [a, t]."""
+    index = np.zeros((2 ** len(first), 2 ** len(second)), dtype=int)
+    for a, t in np.ndindex(index.shape):
+        for value, qubits in ((a, first), (t, second)):
+            for j, q in enumerate(qubits):
+                index[a, t] |= ((value >> (len(qubits) - 1 - j)) & 1) << (n - 1 - q)
+    return index
+
+
+def reference_reduce(rho, n, keep):
+    """Tr over the qubits outside ``keep`` by summing basis entries."""
+    index = placed(n, keep, [q for q in range(n) if q not in keep])
+    return sum(rho[np.ix_(column, column)] for column in index.T)
+
+
+def reference_unitary(gate, n):
+    """The gate as a dense Kronecker product over the n qubits."""
+    def kron(factor_of):
+        return functools.reduce(np.kron, [factor_of.get(q, np.eye(2)) for q in range(n)])
+
+    if gate.kind == "CNOT":
+        control, target = gate.qubits
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        return kron({control: p0}) + kron({control: p1, target: PAULI_X})
+    if gate.kind == "H":
+        return kron({gate.qubits[0]: np.array([[1, 1], [1, -1]]) / np.sqrt(2)})
+    return np.eye(2**n)
+
+
+def reference_run_exact(circuit, noise, keep):
+    """run_exact from dense unitaries and depolarizing noise written as
+    (1 - lam) rho + lam (I/2^k on the touched qubits T, Tr_T rho on the rest)."""
+    n = circuit.qubit_count
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        u = reference_unitary(gate, n)
+        rho = u @ rho @ u.conj().T
+        lam = noise.depolarizing_2q if gate.kind == "CNOT" else noise.depolarizing_1q
+        touched = list(gate.qubits)
+        rest = [q for q in range(n) if q not in touched]
+        sigma = reference_reduce(rho, n, rest)
+        mixed = np.zeros_like(rho)
+        for column in placed(n, rest, touched).T:
+            mixed[np.ix_(column, column)] = sigma / 2 ** len(touched)
+        rho = (1 - lam) * rho + lam * mixed
+    return reference_reduce(rho, n, sorted(keep))
+
+
+def random_circuit(rng, n, length):
+    gates = []
+    for _ in range(length):
+        kind = rng.choice(["H", "I", "CNOT"] if n > 1 else ["H", "I"])
+        if kind == "CNOT":
+            gates.append(Gate("CNOT", tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+        else:
+            gates.append(Gate(str(kind), (int(rng.integers(n)),)))
+    return Circuit(n, tuple(gates))
+
+
+class TestRunExactReference:
+    """run_exact against a simulator written apart from it: dense np.kron
+    unitaries, and the depolarizing channel's mixed part assembled entry by
+    entry from a partial trace taken by summing basis entries."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_circuits(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        circuit = random_circuit(rng, n, 8 if n == 7 else 12)
+        noise = NoiseModel(*rng.uniform(0.0, 0.5, size=2))
+        keeps = [tuple(range(n)), (int(rng.integers(n)),),
+                 tuple(int(q) for q in sorted(rng.choice(n, min(n, 2), replace=False)))]
+        for keep in keeps:
+            got = run_exact(circuit, noise, keep).matrix
+            assert np.abs(got - reference_run_exact(circuit, noise, keep)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_cnot_with_control_above_and_below_target(self, n):
+        # H then CNOT in both directions, under noise that depolarizes every
+        # touched qubit set (all qubits at n = 2)
+        noise = NoiseModel(0.1, 0.25)
+        for control, target in ((0, n - 1), (n - 1, 0), (n // 2, n // 2 - 1)):
+            circuit = Circuit(n, (Gate("H", (control,)), Gate("CNOT", (control, target)),
+                                  Gate("H", (target,)), Gate("CNOT", (target, control))))
+            for keep in (tuple(range(n)), (control, target)):
+                got = run_exact(circuit, noise, keep).matrix
+                assert np.abs(got - reference_run_exact(circuit, noise, keep)).max() <= 1e-12
+
+    def test_reference_knows_the_bell_state(self):
+        circuit = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
+        assert np.abs(reference_run_exact(circuit, NOISELESS, (0, 1)) - BELL.matrix).max() <= 1e-15
 
 
 def sample_counts(rho, shots, seed):
@@ -255,6 +393,11 @@ class TestProjectToState:
         with pytest.raises(NotPhysicalError):
             project_to_state(np.diag([-0.1, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(4)])
+    def test_non_square_or_empty_rejected(self, bad):
+        with pytest.raises(NotSquareError):
+            project_to_state(bad)
+
     def test_fixes_nothing_on_valid_states(self):
         rng = np.random.default_rng(83)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -327,6 +470,22 @@ class TestRunExperiment:
     def test_seed_must_be_non_negative_integer(self, seed, exact):
         with pytest.raises(ParameterOutOfRangeError, match="seed must be a non-negative integer"):
             run_experiment(shots=1280, batches=4, seed=seed, exact=exact)
+
+    @pytest.mark.parametrize("shots", [1280.0, True, "1280", None])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_shots_must_be_integer(self, shots, exact):
+        with pytest.raises(ParameterOutOfRangeError, match="shots must be an integer"):
+            run_experiment(shots=shots, batches=4, seed=7, exact=exact)
+
+    @pytest.mark.parametrize("batches", [4.0, True, "4", None])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_batches_must_be_integer(self, batches, exact):
+        with pytest.raises(ParameterOutOfRangeError, match="batches must be an integer"):
+            run_experiment(shots=1280, batches=batches, seed=7, exact=exact)
+
+    def test_numpy_integer_arguments_accepted(self):
+        a = report_text(np.int64(1280), np.int32(4), np.uint16(9))
+        assert a == report_text(1280, 4, 9)
 
     def test_numpy_integer_seed_accepted(self):
         a = run_experiment(shots=1280, batches=4, seed=np.int64(9))

@@ -255,5 +255,4 @@ def superop_to_choi(m: Superoperator) -> np.ndarray:
     For a Hermiticity-preserving map the result is Hermitian; its eigenvalues
     diagnose how far an extracted M is from a completely positive channel.
     """
-    d = m.dim
-    return _reshuffle(m.matrix.reshape(d, d, d, d)).copy()
+    return _reshuffle(m.matrix, m.dim, m.dim).copy()

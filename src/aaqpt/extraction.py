@@ -11,7 +11,8 @@ solved through the reduced SVD restricted to the singular values above the
 threshold.  On an invertible input both routes give the same M up to
 round-off; the truncation that keeps the tiny singular values of
 near-unfaithful inputs from amplifying tomography noise always takes the SVD
-route.
+route.  :func:`extract` and the experiment's extraction, :func:`_pseudo`, run
+this one pipeline: the rank rule ``realignment._ranks``, then :func:`_solve`.
 
 For unfaithful inputs, strict mode refuses; pseudo mode truncates the small
 singular values and returns the Moore-Penrose solution, which still predicts
@@ -37,11 +38,12 @@ from .channel import (
     apply_extended,
     kraus_from_choi,
 )
-from .errors import DimensionMismatchError, NotFaithfulError
+from .errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
 from .catalog import max_entangled, probe_states
 from .qstate import BipartiteState, trace_distance, _dagger, _frozen
 from .realignment import (
     SingularSpectrum,
+    _ranks,
     _realigned,
     _realignment_values,
     _reshuffle,
@@ -96,59 +98,49 @@ class UnfaithfulnessReport:
     witnessed: bool
 
 
-def _check_dims(input_state: BipartiteState, output_state: BipartiteState) -> None:
-    if (input_state.dim_a, input_state.dim_b) != (output_state.dim_a, output_state.dim_b):
-        raise DimensionMismatchError(
-            f"input is {input_state.dim_a} x {input_state.dim_b}, "
-            f"output is {output_state.dim_a} x {output_state.dim_b}"
-        )
-
-
-def _lu_right_solve(r_in: np.ndarray, r_out: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(r_in.swapaxes(-1, -2), r_out.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
-def _pair_solve(r_in: np.ndarray, r_out: np.ndarray, rank: int) -> np.ndarray:
-    """M with ``M @ r_in = r_out`` on the ``rank`` leading singular
-    directions of ``r_in``: by LU when that is all of a square ``r_in``,
-    else by the reduced SVD."""
-    if rank == r_in.shape[0] == r_in.shape[1]:
-        try:
-            return _lu_right_solve(r_in, r_out)
-        except np.linalg.LinAlgError:
-            # an exactly zero pivot: an explicit threshold kept a singular
-            # value that is round-off, which only the SVD can invert
-            pass
-    u, s, vh = _svd(r_in, compute_uv=True, full_matrices=False)
-    return (r_out @ (vh[:rank].conj().T / s[:rank])) @ u[:, :rank].conj().T
-
-
 def _right_solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """:func:`_pair_solve` over stacks (B, rows, cols) of pairs.  When every
-    pair is square and of full rank, as faithful inputs are, one stacked LU
-    solves them all; otherwise each pair is solved on its own."""
+    """M with ``M @ r_in = r_out`` on the ``ranks[b]`` leading singular
+    directions of each pair of stacks (B, rows, cols).  One stacked LU
+    solves them all when every pair is square and of full rank, as faithful
+    inputs are; else each pair is solved alone, and a lone pair that LU
+    cannot take (rank-deficient, not square, or an exactly zero pivot where
+    an explicit threshold kept a round-off singular value) by the reduced SVD.
+    """
     rows, cols = r_in.shape[-2:]
     if rows == cols and (ranks == rows).all():
         try:
-            return _lu_right_solve(r_in, r_out)
+            return np.linalg.solve(r_in.swapaxes(-1, -2), r_out.swapaxes(-1, -2)).swapaxes(-1, -2)
         except np.linalg.LinAlgError:
             pass
-    return np.array([_pair_solve(*pair) for pair in zip(r_in, r_out, ranks)])
+    if len(r_in) > 1:
+        pairs = zip(r_in[:, None], r_out[:, None], ranks[:, None])
+        return np.concatenate([_right_solve(*pair) for pair in pairs])
+    (rank,) = ranks
+    u, s, vh = _svd(r_in[0], full_matrices=False)
+    return ((r_out[0] @ (vh[:rank].conj().T / s[:rank])) @ u[:, :rank].conj().T)[None]
 
 
 def _solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray):
-    """The solve behind :func:`extract`, on stacks of realigned pairs.
+    """The solve behind :func:`extract` and :func:`_pseudo`, on stacks.
 
     Returns the stacked M of :func:`_right_solve`, each pair's residual
     ``max|r_out - M @ r_in|`` and the eigenvalues of each M's reshuffled
-    Choi matrix.  The rank decisions are the caller's, so that the rank
-    rule stays in :mod:`realignment` (``default_threshold`` and ``_ranks``).
+    Choi matrix.  The rank decisions are the caller's, made by
+    ``realignment._ranks``.
     """
     m = _right_solve(r_in, r_out, ranks)
     residual = np.abs(r_out - m @ r_in).max(axis=(-2, -1))
     d = math.isqrt(m.shape[-1])
-    choi = _reshuffle(m.reshape(m.shape[:-2] + (d, d, d, d)))
+    choi = _reshuffle(m, d, d)
     return m, residual, np.linalg.eigvalsh((choi + _dagger(choi)) / 2)
+
+
+def _pseudo(r_in: np.ndarray, r_out: np.ndarray):
+    """The experiment's extraction: :func:`extract` in pseudo mode at the
+    default threshold, on stacks (B, rows, cols) of realigned pairs with no
+    state to cache their singular values, returning what :func:`_solve` does."""
+    ranks, _ = _ranks(_svd(r_in, compute_uv=False), r_in.shape[-2])
+    return _solve(r_in, r_out, ranks)
 
 
 def extract(
@@ -167,11 +159,16 @@ def extract(
     A square input of full rank is solved by LU; every other input goes
     through the reduced SVD of ``realign(in)`` restricted to the singular
     values above the threshold.  Both give the unique solution when it
-    exists, so the choice moves M only by round-off.
+    exists, so the choice moves M only by round-off.  Any other ``mode``
+    raises ParameterOutOfRangeError.
     """
     if mode not in ("strict", "pseudo"):
-        raise ValueError(f"mode must be 'strict' or 'pseudo', got {mode!r}")
-    _check_dims(input_state, output_state)
+        raise ParameterOutOfRangeError(f"mode must be 'strict' or 'pseudo', got {mode!r}")
+    if (input_state.dim_a, input_state.dim_b) != (output_state.dim_a, output_state.dim_b):
+        raise DimensionMismatchError(
+            f"input is {input_state.dim_a} x {input_state.dim_b}, "
+            f"output is {output_state.dim_a} x {output_state.dim_b}"
+        )
     # rank d_a^2 makes the solve exact and unique even for d_a != d_b:
     # the realigned input then has a right inverse
     required = input_state.dim_a ** 2
@@ -205,7 +202,7 @@ def reachable_report(
     """
     d_a = input_state.dim_a
     spectrum = _spectrum(_realignment_values(input_state), d_a * d_a, threshold)
-    u, _, _ = _svd(_realigned(input_state), compute_uv=True)
+    u, _, _ = _svd(_realigned(input_state))
     basis = tuple(
         _frozen(col.reshape(d_a, d_a).copy()) for col in u[:, spectrum.rank:].T
     )
@@ -256,20 +253,23 @@ def kernel_witness_pair(
     admixture opens exactly the slack (``strength <= mixing / d``) that the
     kernel-supported perturbation needs to stay completely positive.
 
-    Raises ``ValueError`` for faithful inputs, which distinguish every pair.
+    Raises :class:`ParameterOutOfRangeError` for faithful inputs, which
+    distinguish every pair, and for out-of-range ``mixing`` or ``strength``.
     """
     report = reachable_report(input_state)
     if report.kernel_dimension == 0:
-        raise ValueError(
+        raise ParameterOutOfRangeError(
             "input state is faithful: every pair of distinct channels is distinguishable"
         )
     d = input_state.dim_a
     if not 0.0 < mixing <= 1.0:
-        raise ValueError(f"need 0 < mixing <= 1, got {mixing}")
+        raise ParameterOutOfRangeError(f"need 0 < mixing <= 1, got {mixing}")
     if strength is None:
         strength = 0.9 * mixing / d
     if not 0.0 < strength <= mixing / d:
-        raise ValueError(f"need 0 < strength <= mixing/d = {mixing / d:.4g}, got {strength}")
+        raise ParameterOutOfRangeError(
+            f"need 0 < strength <= mixing/d = {mixing / d:.4g}, got {strength}"
+        )
     phi = max_entangled(d, normalized=False)
     choi_base = (1 - mixing) * phi + (mixing / d) * np.eye(d * d)
     # sum_m B (x) B* is invariant under unitary remixes of the kernel basis

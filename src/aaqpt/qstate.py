@@ -15,6 +15,7 @@ the typed entry points take and return validated containers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,16 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise AaqptError("matrix has non-finite (NaN or infinite) entries")
     return a
+
+
+def _integer_in(value, low: int, high: float = math.inf) -> bool:
+    """Whether ``value`` is an integer, not a bool, with low <= value < high."""
+    # a plain int first: an isinstance check against the ABC takes about a
+    # microsecond, as long as the rest of a gate's validation
+    integer = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+    return integer and low <= value < high
 
 
 def _check_tol(tol: float, name: str = "tol") -> None:
@@ -172,9 +183,14 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 
 def bipartite(m, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> BipartiteState:
-    """Validate ``m`` as a density matrix on A tensor B."""
-    if dim_a < 1 or dim_b < 1:
-        raise DimensionMismatchError(f"factor dimensions must be >= 1, got {dim_a} x {dim_b}")
+    """Validate ``m`` as a density matrix on A tensor B, whose dimensions
+    are integers >= 1 (numpy integers too, stored as ``int``; not bools or
+    floats), else DimensionMismatchError."""
+    if not (_integer_in(dim_a, 1) and _integer_in(dim_b, 1)):
+        raise DimensionMismatchError(
+            f"factor dimensions must be integers >= 1, got {dim_a!r} x {dim_b!r}"
+        )
+    dim_a, dim_b = int(dim_a), int(dim_b)
     rho = validate_density(m, tol=tol)
     if rho.dim != dim_a * dim_b:
         raise DimensionMismatchError(
@@ -192,13 +208,19 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _split(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    d = require_square(m)
-    if d != dim_a * dim_b:
+def _bipartite_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
+    """:func:`as_matrix` of ``m``, checked to be square of side dim_a * dim_b."""
+    a = as_matrix(m)
+    if require_square(a) != dim_a * dim_b:
         raise DimensionMismatchError(
-            f"matrix dimension {d} != dim_a * dim_b = {dim_a * dim_b}"
+            f"matrix dimension {a.shape[0]} != dim_a * dim_b = {dim_a * dim_b}"
         )
-    return m.reshape(dim_a, dim_b, dim_a, dim_b)
+    return a
+
+
+def _check_subsystem(subsystem: str) -> None:
+    if subsystem not in ("A", "B"):
+        raise ParameterOutOfRangeError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
 def _partial_trace_keep(m: np.ndarray, dims: tuple, keep: tuple) -> np.ndarray:
@@ -218,12 +240,12 @@ def partial_trace_matrix(m, dim_a: int, dim_b: int, subsystem: str) -> np.ndarra
     """Trace out one factor of a bare bipartite matrix.
 
     Accepts unnormalized (even non-Hermitian) input; preserves the total
-    trace exactly.  ``subsystem`` names the factor that is traced out.
+    trace exactly.  ``subsystem`` names the factor that is traced out: "A"
+    or "B", else ParameterOutOfRangeError.
     """
-    t = _split(as_matrix(m), dim_a, dim_b)
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return _partial_trace_keep(t, (dim_a, dim_b), (0,) if subsystem == "B" else (1,))
+    a = _bipartite_matrix(m, dim_a, dim_b)
+    _check_subsystem(subsystem)
+    return _partial_trace_keep(a, (dim_a, dim_b), (0,) if subsystem == "B" else (1,))
 
 
 def partial_trace(s: BipartiteState, subsystem: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -233,14 +255,11 @@ def partial_trace(s: BipartiteState, subsystem: str, tol: float = DEFAULT_TOL) -
 
 
 def partial_transpose_matrix(m, dim_a: int, dim_b: int, subsystem: str) -> np.ndarray:
-    """Transpose the indices of one factor of a bare bipartite matrix."""
-    t = _split(as_matrix(m), dim_a, dim_b)
-    if subsystem == "B":
-        out = t.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        out = t.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    """Transpose the indices of one factor ("A" or "B", else
+    ParameterOutOfRangeError) of a bare bipartite matrix."""
+    t = _bipartite_matrix(m, dim_a, dim_b).reshape(dim_a, dim_b, dim_a, dim_b)
+    _check_subsystem(subsystem)
+    out = t.transpose(0, 3, 2, 1) if subsystem == "B" else t.transpose(2, 1, 0, 3)
     return out.reshape(dim_a * dim_b, dim_a * dim_b).copy()
 
 

@@ -27,9 +27,9 @@ from .qstate import (
     BipartiteState,
     as_matrix,
     partial_transpose,
+    _bipartite_matrix,
     _check_tol,
     _frozen,
-    _split,
 )
 
 
@@ -91,37 +91,32 @@ def default_threshold(max_singular_value, rows: int):
     return float(tau) if tau.ndim == 0 else tau
 
 
-def _svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = True):
+def _svd(m: np.ndarray, **options):
+    """``np.linalg.svd(m, **options)``, raising SvdFailureError on failure."""
     try:
-        if compute_uv:
-            return np.linalg.svd(m, full_matrices=full_matrices)
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, **options)
     except np.linalg.LinAlgError as exc:
         raise SvdFailureError(f"SVD did not converge: {exc}") from exc
 
 
-def _ranks(values: np.ndarray, tau) -> np.ndarray:
-    """The rank rule: how many values of each descending spectrum along the
-    last axis exceed its cutoff ``tau`` (one cutoff, or one per spectrum).
-    The values come from LAPACK sorted descending, so the ``rank`` largest
-    are exactly those above the cutoff."""
-    return np.count_nonzero(values > np.expand_dims(tau, -1), axis=-1)
-
-
-def _spectrum(values: np.ndarray, rows: int, threshold: float | None) -> SingularSpectrum:
-    # every rank decision about one spectrum; the stacked experiment applies
-    # the same default_threshold and _ranks to all its batches at once
+def _ranks(values: np.ndarray, rows: int, threshold: float | None = None):
+    """The rank rule on one descending spectrum or a stack of them along the
+    last axis: ``(ranks, tau)``, how many values exceed each cutoff ``tau``,
+    which is ``threshold`` if given (finite and >= 0, else
+    ParameterOutOfRangeError), else the :func:`default_threshold` of each
+    spectrum's largest value for ``rows`` rows.  LAPACK sorts the values
+    descending, so the ``rank`` largest are exactly those above the cutoff."""
     if threshold is None:
-        tau = default_threshold(float(values[0]) if values.size else 0.0, rows)
+        tau = default_threshold(values[..., 0] if values.shape[-1] else 0.0, rows)
     else:
         _check_tol(threshold, "threshold")
         tau = float(threshold)
-    return SingularSpectrum(
-        values=_frozen(values),
-        sum=float(values.sum()),
-        rank=int(_ranks(values, tau)),
-        threshold=tau,
-    )
+    return np.count_nonzero(values > np.expand_dims(tau, -1), axis=-1), tau
+
+
+def _spectrum(values: np.ndarray, rows: int, threshold: float | None) -> SingularSpectrum:
+    rank, tau = _ranks(values, rows, threshold)
+    return SingularSpectrum(_frozen(values), float(values.sum()), int(rank), tau)
 
 
 def singular_spectrum(m, threshold: float | None = None) -> SingularSpectrum:
@@ -140,21 +135,22 @@ def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
 
     Accepts unnormalized input; the result has shape dA^2 x dB^2.
     """
-    return _reshuffle(_split(as_matrix(m), dim_a, dim_b)).copy()
+    return _reshuffle(_bipartite_matrix(m, dim_a, dim_b), dim_a, dim_b).copy()
 
 
-def _reshuffle(t: np.ndarray) -> np.ndarray:
-    """Realign a stack of bipartite matrices split as (..., dA, dB, dA, dB)
-    tensors: the (..., dA^2, dB^2) matrices of :func:`realign_matrix`."""
-    a, b = t.shape[-4:-2]
-    return t.swapaxes(-3, -2).reshape(t.shape[:-4] + (a * a, b * b))
+def _reshuffle(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Realign a stack (..., dA*dB, dA*dB) of bipartite matrices: the
+    (..., dA^2, dB^2) matrices of :func:`realign_matrix`."""
+    lead = m.shape[:-2]
+    t = m.reshape(lead + (dim_a, dim_b, dim_a, dim_b))
+    return t.swapaxes(-3, -2).reshape(lead + (dim_a * dim_a, dim_b * dim_b))
 
 
 def _realigned(s: BipartiteState) -> np.ndarray:
     # the state's matrix is validated, finite and square already, so it is
     # reshuffled as it is: one copy, made by the reshape, which may instead
     # be a read-only view of the matrix when a factor has dimension 1
-    return _reshuffle(s.matrix.reshape(s.dim_a, s.dim_b, s.dim_a, s.dim_b))
+    return _reshuffle(s.matrix, s.dim_a, s.dim_b)
 
 
 def realign(s: BipartiteState) -> np.ndarray:
@@ -207,7 +203,7 @@ def operator_schmidt(s: BipartiteState) -> OperatorSchmidtDecomposition:
     ``sum_k c_k A_k (x) B_k`` reconstructs the state.
     """
     r = _realigned(s)
-    u, values, vh = _svd(r, compute_uv=True)
+    u, values, vh = _svd(r)
     k = min(r.shape)
     ops_a = tuple(_frozen(u[:, i].reshape(s.dim_a, s.dim_a).copy()) for i in range(k))
     ops_b = tuple(

@@ -24,7 +24,9 @@ import numpy as np
 from .channel import KrausChannel, Superoperator, make_channel
 from .errors import FileFormatError
 from .extraction import ExtractionResult
-from .qstate import DEFAULT_TOL, BipartiteState, DensityMatrix, bipartite, validate_density
+from .qstate import (
+    DEFAULT_TOL, BipartiteState, DensityMatrix, bipartite, validate_density, _integer_in
+)
 from .realignment import FaithfulnessVerdict, SingularSpectrum
 from .tomography import ExperimentReport
 
@@ -35,8 +37,7 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def _dimension(value, what: str) -> int:
-    # bool is an int subclass in Python, but JSON true is not a dimension
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _integer_in(value, 1):  # JSON true is not a dimension
         raise FileFormatError(f"{what} must be an integer >= 1, got {value!r}")
     return value
 

@@ -23,21 +23,14 @@ Randomness comes exclusively from numpy's PCG64 generator with explicit
 64-bit seeds; batch b of an experiment uses seed + b, which makes reports
 bit-identical across reruns and batches exchangeable.
 
-An experiment draws its counts batch by batch and then does everything
-else once, on stacks that hold every batch: inversion, projection,
-validation, realignment, extraction, probe predictions and fidelities.  The
-per-matrix entry points (:func:`linear_inversion`, :func:`project_to_state`)
-are the same kernels applied to a stack of one.  A batch that fails a check
-is masked in the stacks, never raises, and reads ``failed: <message>`` with
-the first failure it meets, as if it had been processed on its own.
-
-What an experiment is scored against depends on none of its arguments: the
-noiseless target states and their square roots, the six probe states and
-their outputs under the reference map are built and checked once per
-process, on first use, and kept read-only, as are the two circuits and each
-gate's unitary.  A call computes only what its shots, batches, seed and
-noise change: the noisy evolution and its two register states (validated on
-every call), the draws, and everything after them.
+An experiment draws its counts batch by batch and then runs everything else
+once, on stacks that hold every batch (:func:`run_experiment` says how a
+failed batch is marked).  Its extraction is ``extraction._pseudo``, the
+pipeline :func:`extract` runs, on the stacked pairs.  The per-matrix entry
+points (:func:`linear_inversion`, :func:`project_to_state`) are the same
+kernels on a stack of one.  What no argument changes (the scoring
+constants, the two circuits and each gate's unitary) is built once per
+process, on first use, and kept read-only.
 """
 
 from __future__ import annotations
@@ -46,6 +39,7 @@ import functools
 import itertools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +54,8 @@ from .errors import (
     NotSquareError,
     ParameterOutOfRangeError,
 )
-# the batches are extracted as extract(..., mode="pseudo") would do it, by
-# its stacked core _solve; extract stays importable from this module
-from .extraction import _solve, extract  # noqa: F401
+# extract stays importable from this module
+from .extraction import _pseudo, extract  # noqa: F401
 from .qstate import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -70,12 +63,13 @@ from .qstate import (
     _density_failures,
     _fidelity,
     _frozen,
+    _integer_in,
     _partial_trace_keep,
     _root,
     require_square,
     validate_density,
 )
-from .realignment import _ranks, _reshuffle, _svd, default_threshold
+from .realignment import _reshuffle
 
 RNG_NAME = "pcg64"
 
@@ -117,16 +111,6 @@ _INVERSION = np.array([
      for s0 in (1, -1) for s1 in (1, -1)]
     for b0, b1 in BASIS_SETTINGS
 ])
-
-
-def _integer_in(value, low: int, high: float = math.inf) -> bool:
-    """Whether ``value`` is an integer, not a bool, with low <= value < high."""
-    # a plain int first: an isinstance check against the ABC takes about a
-    # microsecond, as long as the rest of a gate's validation
-    integer = type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    )
-    return integer and low <= value < high
 
 
 @dataclass(frozen=True)
@@ -313,16 +297,17 @@ def run_exact(circuit: Circuit, noise: NoiseModel, keep: tuple[int, ...]) -> Den
 
     Unitaries act exactly; after each gate the touched qubits are
     depolarized per the noise model (1-qubit strength for H and I, 2-qubit
-    strength for CNOT).  ``keep`` names distinct integer qubits (not
-    bools), in any order; the result is in ascending qubit order.
+    strength for CNOT).  ``keep`` is an iterable of distinct integer qubits
+    (not bools), in any order, else ParameterOutOfRangeError; the result is
+    in ascending qubit order.
     """
     n = circuit.qubit_count
-    keep = tuple(keep)
-    if not keep or not all(_integer_in(q, 0, n) for q in keep) or len(set(keep)) < len(keep):
-        raise ParameterOutOfRangeError(f"keep={keep} is not a valid qubit subset")
-    keep = tuple(sorted(keep))
+    qubits = tuple(keep) if isinstance(keep, Iterable) else ()
+    valid = all(_integer_in(q, 0, n) for q in qubits) and len(set(qubits)) == len(qubits)
+    if not (qubits and valid):
+        raise ParameterOutOfRangeError(f"keep={keep!r} is not a valid qubit subset")
     rho = _evolve(_ground_state(n), circuit.gates, noise, n)
-    return validate_density(_partial_trace_keep(rho, (2,) * n, keep))
+    return validate_density(_partial_trace_keep(rho, (2,) * n, tuple(sorted(qubits))))
 
 
 def _register_states(noise: NoiseModel) -> tuple[DensityMatrix, DensityMatrix]:
@@ -561,10 +546,7 @@ def run_experiment(
     _mark(status, failures.T)
 
     # extraction in pseudo mode, as extract(..., mode="pseudo") does it
-    r_in, r_out = _reshuffle(rho.reshape(rho.shape[:2] + (2, 2, 2, 2)))
-    values = _by_batch(lambda r: _svd(r, compute_uv=False), status, r_in)
-    ranks = _ranks(values, default_threshold(values[:, 0], r_in.shape[-2]))
-    m = _by_batch(_solve, status, r_in, r_out, ranks)[0]
+    m = _by_batch(_pseudo, status, *_reshuffle(rho, 2, 2))[0]
 
     predicted, probe_failures = _predict(m, probe_vectors)
     _mark(status, probe_failures)

@@ -8,6 +8,7 @@ from aaqpt.catalog import PAULI_X, horodecki, max_entangled, probe_states, sigma
 from aaqpt.channel import apply, apply_extended, make_channel, propagate, superoperator
 from aaqpt.errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
 from aaqpt.extraction import (
+    _solve,
     demonstrate_unfaithfulness,
     extract,
     kernel_witness_pair,
@@ -141,7 +142,7 @@ class TestExtract:
     def test_invalid_mode(self):
         rng = np.random.default_rng(76)
         s = random_bipartite(2, 2, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRangeError, match="mode must be"):
             extract(s, s, mode="sloppy")
 
     def test_choi_eigenvalue_diagnostics(self):
@@ -237,11 +238,11 @@ class TestKernelWitnessPair:
         assert np.abs(delta @ realign(s)).max() < 1e-12
 
     def test_rejects_faithful_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRangeError, match="faithful"):
             kernel_witness_pair(max_entangled(2))
 
     def test_rejects_bad_strength(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRangeError, match="strength"):
             kernel_witness_pair(sigma_e(0.5), mixing=0.2, strength=0.5)
 
     def test_works_on_bound_entangled_family(self):
@@ -282,6 +283,33 @@ class TestSpectralCore:
         result = extract(h, h, mode="strict", threshold=0.0)
         assert result.truncated_count == 0
         assert result.residual < 1e-10
+
+    def test_zero_pivot_pair_runs_lu_once(self):
+        h = horodecki(0.4)
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            extract(h, h, mode="strict", threshold=0.0)
+        assert solve.call_count == 1
+
+    @pytest.mark.parametrize("with_deficient", [False, True])
+    def test_mixed_stack_solves_each_pair_as_alone(self, with_deficient):
+        # a full-rank pair, a zero-pivot pair (horodecki kept at full rank by
+        # threshold 0) and, optionally, a rank-deficient pair: the stacked
+        # LU fails or is skipped, and every pair must come out as it does
+        # when it is solved on its own
+        rng = np.random.default_rng(85)
+        states = [faithful_random_state(3, rng), horodecki(0.4)]
+        ranks = [9, 9]
+        if with_deficient:
+            states.append(sigma_e(0.5))
+            ranks.append(is_faithful(states[-1]).spectrum.rank)  # 7 of 9
+        r_in = np.array([realign(s) for s in states])
+        r_out = np.array([realign(apply_extended(random_channel(3, 2, rng), s)) for s in states])
+        ranks = np.array(ranks)
+        stacked = _solve(r_in, r_out, ranks)
+        for b in range(len(states)):
+            alone = _solve(r_in[b : b + 1], r_out[b : b + 1], ranks[b : b + 1])
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[b], want[0])
 
     @pytest.mark.parametrize("threshold", [None, 1e-3])
     def test_one_rank_decision(self, threshold):

@@ -384,6 +384,12 @@ class TestPartialTrace:
         assert np.allclose(got, scale * kept, atol=1e-12)
 
 
+@pytest.mark.parametrize("partial", [partial_trace_matrix, partial_transpose_matrix])
+def test_unknown_subsystem_rejected(partial):
+    with pytest.raises(ParameterOutOfRangeError, match="subsystem must be 'A' or 'B'"):
+        partial(np.eye(4) / 4, 2, 2, "C")
+
+
 class TestPartialTranspose:
     def test_product_state(self):
         rng = np.random.default_rng(6)
@@ -522,6 +528,16 @@ class TestBipartite:
         # would let it through
         with pytest.raises(DimensionMismatchError):
             bipartite(np.eye(4) / 4, *dims)
+
+    @pytest.mark.parametrize("dims", [(2.0, 2.0), (True, 4), (4, True), (2, "2"), (None, 4)])
+    def test_dimensions_must_be_integers(self, dims):
+        with pytest.raises(DimensionMismatchError, match="must be integers"):
+            bipartite(np.eye(4) / 4, *dims)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        s = bipartite(np.eye(4) / 4, np.int64(2), np.uint8(2))
+        assert (s.dim_a, s.dim_b) == (2, 2)
+        assert type(s.dim_a) is int and type(s.dim_b) is int
 
     def test_matrix_accessor(self):
         s = bipartite(BELL, 2, 2)

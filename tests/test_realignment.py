@@ -346,8 +346,7 @@ def test_stacked_ranks_are_the_spectrum_ranks(batch, rows, seed):
     edge = default_threshold(s_max, rows) * rng.choice([1.0, 1 + 2**-52, 1 - 2**-53], batch)
     values[:, -1] = np.minimum(edge, s_max)
     values = -np.sort(-values, axis=-1)
-    cut = default_threshold(values[:, 0], rows)
-    ranks = _ranks(values, cut)
+    ranks, cut = _ranks(values, rows)
     for v, rank, tau in zip(values, ranks, cut):
         spectrum = _spectrum(v.copy(), rows, None)
         assert rank == spectrum.rank

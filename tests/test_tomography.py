@@ -131,7 +131,9 @@ class TestRunExact:
         with pytest.raises(ParameterOutOfRangeError):
             run_exact(input_circuit, NOISELESS, keep=(5,))
 
-    @pytest.mark.parametrize("keep", [(1, 1), (0, 1, 0), (0.0,), (True,), (0, "1"), (None,), ()])
+    @pytest.mark.parametrize(
+        "keep", [(1, 1), (0, 1, 0), (0.0,), (True,), (0, "1"), (None,), (), 0, None]
+    )
     def test_keep_must_be_distinct_integers(self, keep):
         input_circuit, _ = experiment_circuits()
         with pytest.raises(ParameterOutOfRangeError, match="not a valid qubit subset"):
@@ -509,14 +511,14 @@ class TestRunExperiment:
     def test_exact_batches_computed_once(self, monkeypatch):
         import aaqpt.tomography as tomo
 
-        real_solve = tomo._solve
+        real_pseudo = tomo._pseudo
         calls = []
 
-        def counting_solve(*args, **kwargs):
+        def counting_pseudo(*args, **kwargs):
             calls.append(1)
-            return real_solve(*args, **kwargs)
+            return real_pseudo(*args, **kwargs)
 
-        monkeypatch.setattr(tomo, "_solve", counting_solve)
+        monkeypatch.setattr(tomo, "_pseudo", counting_pseudo)
         report = tomo.run_experiment(shots=0, batches=5, seed=3, exact=True)
         assert len(calls) == 1
         single = tomo.run_experiment(shots=0, batches=1, seed=3, exact=True)
@@ -539,16 +541,18 @@ class TestRunExperiment:
     def test_batch_ranks_are_the_spectrum_ranks(self, monkeypatch):
         # every batch's rank comes from one stacked call, decided as
         # _spectrum decides it batch by batch
+        import aaqpt.extraction as extraction
         from aaqpt.realignment import _spectrum
 
-        real_ranks = tomo._ranks
+        real_ranks = extraction._ranks
         seen = []
 
-        def recording_ranks(values, tau):
-            seen.append((values.copy(), real_ranks(values, tau)))
-            return seen[-1][1]
+        def recording_ranks(values, rows, threshold=None):
+            ranks, tau = real_ranks(values, rows, threshold)
+            seen.append((values.copy(), ranks))
+            return ranks, tau
 
-        monkeypatch.setattr(tomo, "_ranks", recording_ranks)
+        monkeypatch.setattr(extraction, "_ranks", recording_ranks)
         run_experiment(shots=8, batches=8, seed=5)
         [(values, ranks)] = seen
         assert values.shape == (8, 4)
@@ -558,19 +562,19 @@ class TestRunExperiment:
         import aaqpt.tomography as tomo
         from aaqpt.errors import SvdFailureError
 
-        real_solve = tomo._solve
+        real_pseudo = tomo._pseudo
         faulty = []
 
-        def flaky_solve(r_in, r_out, ranks):
+        def flaky_pseudo(r_in, r_out):
             # an SVD that fails on batch 1's input wherever it appears: in
             # the stack of all batches and in that batch alone
             if not faulty:
                 faulty.append(r_in[1].copy())
             if any(np.array_equal(r, faulty[0]) for r in r_in):
                 raise SvdFailureError("injected failure")
-            return real_solve(r_in, r_out, ranks)
+            return real_pseudo(r_in, r_out)
 
-        monkeypatch.setattr(tomo, "_solve", flaky_solve)
+        monkeypatch.setattr(tomo, "_pseudo", flaky_pseudo)
         report = tomo.run_experiment(shots=1280, batches=4, seed=16)
         statuses = [d.status for d in report.batch_details]
         assert statuses.count("ok") == 3

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterOutOfRangeError, UnsupportedDimensionError
-from .qstate import BipartiteState, DensityMatrix, bipartite, validate_density
+from .qstate import BipartiteState, DensityMatrix, bipartite, validate_density, _integer_in, _real
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,9 +32,10 @@ def max_entangled(d: int, normalized: bool = True):
 
     Normalized, returns a valid :class:`BipartiteState` with trace one;
     unnormalized, returns the raw projector ``sum_{ij} |ii><jj|`` of trace d.
+    ``d`` is an integer >= 2.
     """
-    if d < 2:
-        raise ParameterOutOfRangeError(f"need d >= 2, got {d}")
+    if not _integer_in(d, 2):
+        raise ParameterOutOfRangeError(f"need d >= 2, got {d!r}")
     phi = np.eye(d, dtype=complex).reshape(-1)
     if not normalized:
         return _projector(phi)
@@ -49,10 +50,10 @@ def sigma_e(p: float) -> BipartiteState:
 
     Entangled for every p in [0, 1], but its realignment spectrum
     {1/2, p/2, (1-p)/2, p/2, p/2, 0, (1-p)/2, 0, (1-p)/2} always contains
-    two zeros, so the state is never faithful.
+    two zeros, so the state is never faithful.  ``p`` is a real in [0, 1].
     """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRangeError(f"need 0 <= p <= 1, got {p}")
+    if not (_real(p) and 0.0 <= p <= 1.0):
+        raise ParameterOutOfRangeError(f"need 0 <= p <= 1, got {p!r}")
     v1 = np.zeros(9, dtype=complex)
     v1[0] = v1[4] = 1.0  # |00> + |11>
     v2 = np.zeros(9, dtype=complex)
@@ -62,13 +63,13 @@ def sigma_e(p: float) -> BipartiteState:
 
 
 def horodecki(a: float) -> BipartiteState:
-    """The 3 x 3 bound entangled family, parameter 0 < a < 1.
+    """The 3 x 3 bound entangled family, real parameter 0 < a < 1.
 
     PPT (so undetectable by partial transposition) yet entangled; its
     realignment has exactly one zero singular value, so it is unfaithful.
     """
-    if not 0.0 < a < 1.0:
-        raise ParameterOutOfRangeError(f"need 0 < a < 1, got {a}")
+    if not (_real(a) and 0.0 < a < 1.0):
+        raise ParameterOutOfRangeError(f"need 0 < a < 1, got {a!r}")
     b = (1 + a) / 2
     c = np.sqrt(1 - a * a) / 2
     m = np.zeros((9, 9), dtype=complex)
@@ -130,10 +131,10 @@ def loo_basis(d: int) -> list[np.ndarray]:
     Normalized identity, then for each index pair the symmetric and
     antisymmetric off-diagonal generators, then the diagonal ones (the
     generalized Gell-Mann construction).  For d=2 this is exactly
-    {I, X, Y, Z} / sqrt(2).
+    {I, X, Y, Z} / sqrt(2).  ``d`` is an integer >= 2.
     """
-    if d < 2:
-        raise ParameterOutOfRangeError(f"need d >= 2, got {d}")
+    if not _integer_in(d, 2):
+        raise ParameterOutOfRangeError(f"need d >= 2, got {d!r}")
     ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):

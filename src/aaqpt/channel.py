@@ -42,6 +42,8 @@ from .qstate import (
     _check_tol,
     _frozen,
     _min_eigenvalues,
+    _numbers,
+    _partial_trace_keep,
 )
 from .realignment import _reshuffle
 
@@ -92,11 +94,7 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> KrausChannel:
     ops = [as_matrix(k) for k in kraus]
     if not ops:
         raise MixedDimensionsError("at least one Kraus operator is required")
-    dims = set()
-    for op in ops:
-        if op.shape[0] != op.shape[1]:
-            raise NotSquareError(f"Kraus operator has non-square shape {op.shape}")
-        dims.add(op.shape[0])
+    dims = {require_square(op) for op in ops}
     if len(dims) > 1:
         raise MixedDimensionsError(f"Kraus operators mix dimensions {sorted(dims)}")
     d = dims.pop()
@@ -154,7 +152,7 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
         raise NotPositiveError(float(min_eig))
     if abs(np.trace(c) - d) > tol:
         raise NotTracePreservingError(float(abs(np.trace(c) - d)))
-    marginal = np.einsum("ikil->kl", c.reshape(d, d, d, d))
+    marginal = _partial_trace_keep(c, (d, d), (1,))
     tp_dev = float(np.abs(marginal - np.eye(d)).max())
     if tp_dev > tol:
         raise NotTracePreservingError(tp_dev)
@@ -210,10 +208,11 @@ def vectorize(sigma) -> np.ndarray:
 
 
 def devectorize(vector) -> np.ndarray:
-    """Inverse of :func:`vectorize`; the length must be a perfect square."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    """Inverse of :func:`vectorize`: the entries of ``vector`` are finite
+    numbers, and their count a nonzero perfect square (else NotSquareError)."""
+    v = _numbers(vector, complex, two_d=False).reshape(-1)
     d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
+    if d * d != v.size or not d:
         raise NotSquareError(f"vector of length {v.size} does not devectorize to a square matrix")
     return v.reshape(d, d).copy()
 

@@ -2,7 +2,9 @@
 
 Every command emits a human-readable summary by default and the full JSON
 payload with ``--json``.  Exit codes: 0 success, 2 validation error,
-3 not-faithful (a scientific verdict, not a malfunction), 4 I/O error.
+3 not-faithful (a scientific verdict, not a malfunction), 4 I/O error (an
+input file that is missing, unreadable, not UTF-8 text or not a valid
+document).
 The environment variable ``AAQPT_DEFAULT_TOL`` overrides the global
 validation tolerance.
 """
@@ -23,7 +25,7 @@ from .catalog import PROBE_NAMES_QUBIT, horodecki, max_entangled, probe_states, 
 from .channel import predict_output
 from .errors import AaqptError, FileFormatError, NotFaithfulError
 from .extraction import extract, reachable_report
-from .qstate import DEFAULT_TOL, BipartiteState, purity
+from .qstate import DEFAULT_TOL, BipartiteState, purity, _check_tol
 from .realignment import ccnr_sum, is_faithful, ppt_min_eigenvalue
 from .tomography import NoiseModel, run_experiment
 
@@ -58,9 +60,8 @@ def _validation_tolerance() -> float:
     try:
         tol = float(env)
     except ValueError:
-        tol = None
-    if tol is None or not 0.0 <= tol < float("inf"):
-        raise AaqptError(f"AAQPT_DEFAULT_TOL must be a finite number >= 0, got {env!r}")
+        tol = env  # not a number, which the check reports
+    _check_tol(tol, "AAQPT_DEFAULT_TOL")
     return tol
 
 
@@ -198,8 +199,8 @@ def cmd_bound_sweep(args) -> CommandResult:
         grid = [float(x) for x in args.a_grid.split(",") if x.strip()]
     except ValueError as exc:
         raise AaqptError(f"malformed --a-grid: {exc}") from exc
-    if not grid or any(not 0.0 < a < 1.0 for a in grid):
-        raise AaqptError("--a-grid values must lie strictly between 0 and 1")
+    if not grid:  # horodecki checks each value
+        raise AaqptError("--a-grid needs at least one value")
     rows = []
     for a in grid:
         state = horodecki(a)
@@ -213,19 +214,12 @@ def cmd_bound_sweep(args) -> CommandResult:
                 "singular_values": [float(v) for v in rep.spectrum.values],
             }
         )
-    n_vals = len(rows[0]["singular_values"])
-    header = ["a", "kernel_dimension", "ppt_min_eigenvalue", "ccnr_sum"] + [
-        f"sv{i}" for i in range(n_vals)
+    keys = [k for k in rows[0] if k != "singular_values"]
+    header = keys + [f"sv{i}" for i in range(len(rows[0]["singular_values"]))]
+    csv_lines = [",".join(header)] + [
+        ",".join(repr(v) for v in [row[k] for k in keys] + row["singular_values"])
+        for row in rows
     ]
-    csv_lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            repr(row["a"]),
-            str(row["kernel_dimension"]),
-            repr(row["ppt_min_eigenvalue"]),
-            repr(row["ccnr_sum"]),
-        ] + [repr(v) for v in row["singular_values"]]
-        csv_lines.append(",".join(cells))
     return CommandResult(EXIT_OK, rows, "\n".join(csv_lines))
 
 
@@ -327,7 +321,7 @@ def main(argv=None) -> int:
     except NotFaithfulError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FAITHFUL
-    except (FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError, FileFormatError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (AaqptError, ValueError) as exc:

@@ -11,8 +11,8 @@ solved through the reduced SVD restricted to the singular values above the
 threshold.  On an invertible input both routes give the same M up to
 round-off; the truncation that keeps the tiny singular values of
 near-unfaithful inputs from amplifying tomography noise always takes the SVD
-route.  :func:`extract` and the experiment's extraction, :func:`_pseudo`, run
-this one pipeline: the rank rule ``realignment._ranks``, then :func:`_solve`.
+route.  :func:`extract` and the experiment's :func:`_pseudo` run this one
+pipeline: the rank rule ``realignment._ranks``, then :func:`_right_solve`.
 
 For unfaithful inputs, strict mode refuses; pseudo mode truncates the small
 singular values and returns the Moore-Penrose solution, which still predicts
@@ -26,7 +26,6 @@ with identical outputs on the state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .channel import (
 )
 from .errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
 from .catalog import max_entangled, probe_states
-from .qstate import BipartiteState, trace_distance, _dagger, _frozen
+from .qstate import BipartiteState, trace_distance, _dagger, _frozen, _real
 from .realignment import (
     SingularSpectrum,
     _ranks,
@@ -120,27 +119,12 @@ def _right_solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray) -> np.n
     return ((r_out[0] @ (vh[:rank].conj().T / s[:rank])) @ u[:, :rank].conj().T)[None]
 
 
-def _solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray):
-    """The solve behind :func:`extract` and :func:`_pseudo`, on stacks.
-
-    Returns the stacked M of :func:`_right_solve`, each pair's residual
-    ``max|r_out - M @ r_in|`` and the eigenvalues of each M's reshuffled
-    Choi matrix.  The rank decisions are the caller's, made by
-    ``realignment._ranks``.
-    """
-    m = _right_solve(r_in, r_out, ranks)
-    residual = np.abs(r_out - m @ r_in).max(axis=(-2, -1))
-    d = math.isqrt(m.shape[-1])
-    choi = _reshuffle(m, d, d)
-    return m, residual, np.linalg.eigvalsh((choi + _dagger(choi)) / 2)
-
-
-def _pseudo(r_in: np.ndarray, r_out: np.ndarray):
-    """The experiment's extraction: :func:`extract` in pseudo mode at the
-    default threshold, on stacks (B, rows, cols) of realigned pairs with no
-    state to cache their singular values, returning what :func:`_solve` does."""
+def _pseudo(r_in: np.ndarray, r_out: np.ndarray) -> np.ndarray:
+    """The experiment's extraction: the M of :func:`extract` in pseudo mode
+    at the default threshold, on stacks (B, rows, cols) of realigned pairs
+    with no state to cache their singular values."""
     ranks, _ = _ranks(_svd(r_in, compute_uv=False), r_in.shape[-2])
-    return _solve(r_in, r_out, ranks)
+    return _right_solve(r_in, r_out, ranks)
 
 
 def extract(
@@ -177,16 +161,17 @@ def extract(
     rank = spectrum.rank
     if mode == "strict" and rank < required:
         raise NotFaithfulError(required - rank)
-    m, residual, choi_eigs = _solve(
-        _realigned(input_state)[None], _realigned(output_state)[None], np.array([rank])
-    )
+    r_in, r_out = _realigned(input_state), _realigned(output_state)
+    m = _right_solve(r_in[None], r_out[None], np.array([rank]))[0]
+    d = input_state.dim_a
+    choi = _reshuffle(m, d, d)
     return ExtractionResult(
-        m=Superoperator(dim=input_state.dim_a, matrix=_frozen(m[0])),
+        m=Superoperator(dim=d, matrix=_frozen(m)),
         mode=mode,
         input_spectrum=spectrum,
-        residual=float(residual[0]),
+        residual=float(np.abs(r_out - m @ r_in).max()),
         truncated_count=int(values.size - rank),
-        choi_eigenvalues=_frozen(choi_eigs[0]),
+        choi_eigenvalues=_frozen(np.linalg.eigvalsh((choi + _dagger(choi)) / 2)),
     )
 
 
@@ -254,7 +239,7 @@ def kernel_witness_pair(
     kernel-supported perturbation needs to stay completely positive.
 
     Raises :class:`ParameterOutOfRangeError` for faithful inputs, which
-    distinguish every pair, and for out-of-range ``mixing`` or ``strength``.
+    distinguish every pair, and for ``mixing`` or ``strength`` not a real in range.
     """
     report = reachable_report(input_state)
     if report.kernel_dimension == 0:
@@ -262,13 +247,13 @@ def kernel_witness_pair(
             "input state is faithful: every pair of distinct channels is distinguishable"
         )
     d = input_state.dim_a
-    if not 0.0 < mixing <= 1.0:
-        raise ParameterOutOfRangeError(f"need 0 < mixing <= 1, got {mixing}")
+    if not (_real(mixing) and 0.0 < mixing <= 1.0):
+        raise ParameterOutOfRangeError(f"need 0 < mixing <= 1, got {mixing!r}")
     if strength is None:
         strength = 0.9 * mixing / d
-    if not 0.0 < strength <= mixing / d:
+    if not (_real(strength) and 0.0 < strength <= mixing / d):
         raise ParameterOutOfRangeError(
-            f"need 0 < strength <= mixing/d = {mixing / d:.4g}, got {strength}"
+            f"need 0 < strength <= mixing/d = {mixing / d:.4g}, got {strength!r}"
         )
     phi = max_entangled(d, normalized=False)
     choi_base = (1 - mixing) * phi + (mixing / d) * np.eye(d * d)

@@ -10,6 +10,13 @@ Matrices travel as dense complex ``numpy`` arrays.  Operations that are well
 defined for unnormalized Hermitian matrices (needed when manipulating raw
 vectorized objects) have ``*_matrix`` entry points working on bare arrays;
 the typed entry points take and return validated containers.
+
+Every public entry point of the package checks what a caller passes in
+through the four owners of the input rules here: :func:`_numbers` (behind
+:func:`as_matrix`) for arrays of finite numbers, :func:`_integer_in` for
+dimensions and indices, :func:`_real` for real parameters and
+:func:`_check_tol` for tolerances and thresholds, finite reals >= 0.  No bool
+passes the last three.
 """
 
 from __future__ import annotations
@@ -43,9 +50,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def as_matrix(m) -> np.ndarray:
     """Copy ``m`` into a fresh complex 2-D array of finite entries."""
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2:
+    return _numbers(m, complex, two_d=True)
+
+
+def _numbers(m, dtype, two_d: bool) -> np.ndarray:
+    """A fresh copy of ``m`` of ``dtype`` (None: the numeric dtype numpy
+    infers), 2-D if ``two_d``, whose entries are finite numbers; else
+    NotSquareError for the axes and AaqptError for the entries."""
+    try:
+        a = np.array(m, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AaqptError(f"entries must be numbers: {exc}") from None
+    if two_d and a.ndim != 2:
         raise NotSquareError(f"expected a 2-D matrix, got array of shape {a.shape}")
+    if a.dtype.kind not in "biufc":
+        raise AaqptError(f"entries must be numbers, got dtype {a.dtype}")
     if not np.isfinite(a).all():
         raise AaqptError("matrix has non-finite (NaN or infinite) entries")
     return a
@@ -61,9 +80,16 @@ def _integer_in(value, low: int, high: float = math.inf) -> bool:
     return integer and low <= value < high
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (integers included), not a bool."""
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
 def _check_tol(tol: float, name: str = "tol") -> None:
-    """Reject a tolerance or threshold that is NaN, infinite or negative."""
-    if not 0.0 <= tol < np.inf:
+    """Reject a tolerance or threshold that is not a finite real >= 0."""
+    if not (_real(tol) and 0.0 <= tol < math.inf):
         raise ParameterOutOfRangeError(f"{name} must be a finite number >= 0, got {tol!r}")
 
 
@@ -183,34 +209,30 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 
 def bipartite(m, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> BipartiteState:
-    """Validate ``m`` as a density matrix on A tensor B, whose dimensions
-    are integers >= 1 (numpy integers too, stored as ``int``; not bools or
-    floats), else DimensionMismatchError."""
-    if not (_integer_in(dim_a, 1) and _integer_in(dim_b, 1)):
-        raise DimensionMismatchError(
-            f"factor dimensions must be integers >= 1, got {dim_a!r} x {dim_b!r}"
-        )
-    dim_a, dim_b = int(dim_a), int(dim_b)
-    rho = validate_density(m, tol=tol)
-    if rho.dim != dim_a * dim_b:
-        raise DimensionMismatchError(
-            f"matrix dimension {rho.dim} != dim_a * dim_b = {dim_a * dim_b}"
-        )
-    return BipartiteState(dim_a=dim_a, dim_b=dim_b, state=rho)
+    """Validate ``m`` as a density matrix on A tensor B, with factor
+    dimensions as :func:`_bipartite_matrix` takes them (stored as ``int``)."""
+    a = _bipartite_matrix(m, dim_a, dim_b, lambda m: validate_density(m, tol=tol).matrix)
+    return BipartiteState(int(dim_a), int(dim_b), DensityMatrix(dim=len(a), matrix=a))
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product in the shared index convention.
+    """Kronecker product of two matrices in the shared index convention.
 
     The entry at composite row ``i*rows_b + r``, column ``j*cols_b + c``
     equals ``a[i, j] * b[r, c]``.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _bipartite_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
-    """:func:`as_matrix` of ``m``, checked to be square of side dim_a * dim_b."""
-    a = as_matrix(m)
+def _bipartite_matrix(m, dim_a: int, dim_b: int, convert=None) -> np.ndarray:
+    """``convert(m)`` (:func:`bipartite` validates a density there) or else
+    :func:`as_matrix` of ``m``, square of side dim_a * dim_b.  The factor
+    dimensions are integers >= 1 (numpy ones too), else DimensionMismatchError."""
+    if not (_integer_in(dim_a, 1) and _integer_in(dim_b, 1)):
+        raise DimensionMismatchError(
+            f"factor dimensions must be integers >= 1, got {dim_a!r} x {dim_b!r}"
+        )
+    a = as_matrix(m) if convert is None else convert(m)
     if require_square(a) != dim_a * dim_b:
         raise DimensionMismatchError(
             f"matrix dimension {a.shape[0]} != dim_a * dim_b = {dim_a * dim_b}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SvdFailureError, UnequalDimensionsError
+from .errors import ParameterOutOfRangeError, SvdFailureError, UnequalDimensionsError
 from .qstate import (
     BipartiteState,
     as_matrix,
@@ -30,6 +30,7 @@ from .qstate import (
     _bipartite_matrix,
     _check_tol,
     _frozen,
+    _integer_in,
 )
 
 
@@ -187,7 +188,10 @@ def realign_check(s: BipartiteState) -> np.ndarray:
 
 
 def swap_operator(d: int) -> np.ndarray:
-    """The d^2 x d^2 permutation E with E (|a> (x) |b>) = |b> (x) |a>."""
+    """The d^2 x d^2 permutation E with E (|a> (x) |b>) = |b> (x) |a>, for
+    an integer d >= 1 (else ParameterOutOfRangeError)."""
+    if not _integer_in(d, 1):
+        raise ParameterOutOfRangeError(f"need d >= 1, got {d!r}")
     e = np.zeros((d * d, d * d))
     for a in range(d):
         for b in range(d):

@@ -25,15 +25,14 @@ from .channel import KrausChannel, Superoperator, make_channel
 from .errors import FileFormatError
 from .extraction import ExtractionResult
 from .qstate import (
-    DEFAULT_TOL, BipartiteState, DensityMatrix, bipartite, validate_density, _integer_in
+    DEFAULT_TOL, BipartiteState, DensityMatrix, as_matrix, bipartite, validate_density, _integer_in
 )
 from .realignment import FaithfulnessVerdict, SingularSpectrum
 from .tomography import ExperimentReport
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in as_matrix(m)]
 
 
 def _dimension(value, what: str) -> int:

@@ -14,10 +14,7 @@ realizes, after tracing out q2, the bit-flip channel with Kraus operators
 Every register operator is one tensor product of small matrices on their
 qubits (``_outer``): a gate's ``_GATES`` matrix with the identity on the
 other qubits, or the noise's I/2^k on a gate's k qubits with the partial
-trace over them (``qstate._partial_trace_keep``) on the rest.  Qubit
-indices, ``keep``, shots, batches and seed must be integers and noise
-probabilities real numbers, none of them bools, else
-ParameterOutOfRangeError.
+trace over them (``qstate._partial_trace_keep``) on the rest.
 
 Randomness comes exclusively from numpy's PCG64 generator with explicit
 64-bit seeds; batch b of an experiment uses seed + b, which makes reports
@@ -38,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -51,7 +47,6 @@ from .errors import (
     DimensionMismatchError,
     MissingBasisError,
     NotPhysicalError,
-    NotSquareError,
     ParameterOutOfRangeError,
 )
 # extract stays importable from this module
@@ -64,7 +59,9 @@ from .qstate import (
     _fidelity,
     _frozen,
     _integer_in,
+    _numbers,
     _partial_trace_keep,
+    _real,
     _root,
     require_square,
     validate_density,
@@ -164,7 +161,7 @@ class NoiseModel:
     def __post_init__(self):
         for name, lam in (("depolarizing_1q", self.depolarizing_1q),
                           ("depolarizing_2q", self.depolarizing_2q)):
-            if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam <= 1:
+            if not (_real(lam) and 0 <= lam <= 1):
                 raise ParameterOutOfRangeError(f"{name} must lie in [0, 1], got {lam!r}")
 
 
@@ -362,10 +359,9 @@ def _single(rho: np.ndarray, failures: np.ndarray) -> DensityMatrix:
 def project_to_state(matrix: np.ndarray) -> DensityMatrix:
     """Nearest-in-spirit physical state: hermitize, clip negative
     eigenvalues to zero, renormalize the trace to one (NotPhysicalError if
-    no eigenvalue is positive)."""
-    a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise NotSquareError(f"expected a 2-D matrix, got array of shape {a.shape}")
+    no eigenvalue is positive).  ``matrix`` is a square matrix of finite
+    numbers, projected in its own dtype (real input stays real)."""
+    a = _numbers(matrix, None, two_d=True)
     require_square(a)
     return _single(*_project(a))
 
@@ -516,11 +512,10 @@ def run_experiment(
     ParameterOutOfRangeError, with or without ``exact``.
     """
     noise = noise or NoiseModel()
-    for name, value in (("shots", shots), ("batches", batches)):
-        if not _integer_in(value, -math.inf):
-            raise ParameterOutOfRangeError(f"{name} must be an integer, got {value!r}")
-    if batches < 1:
-        raise ParameterOutOfRangeError(f"need batches >= 1, got {batches}")
+    if not _integer_in(shots, -math.inf):
+        raise ParameterOutOfRangeError(f"shots must be an integer, got {shots!r}")
+    if not _integer_in(batches, 1):
+        raise ParameterOutOfRangeError(f"batches must be an integer >= 1, got {batches!r}")
     if not exact and (shots < batches or shots % batches):
         raise ParameterOutOfRangeError(
             f"shots ({shots}) must be a positive multiple of batches ({batches})"
@@ -546,7 +541,7 @@ def run_experiment(
     _mark(status, failures.T)
 
     # extraction in pseudo mode, as extract(..., mode="pseudo") does it
-    m = _by_batch(_pseudo, status, *_reshuffle(rho, 2, 2))[0]
+    m = _by_batch(_pseudo, status, *_reshuffle(rho, 2, 2))
 
     predicted, probe_failures = _predict(m, probe_vectors)
     _mark(status, probe_failures)

@@ -75,6 +75,14 @@ class TestFaithfulCommand:
         code, _ = run(capsys, ["faithful", "--file", str(path)])
         assert code == 4
 
+    def test_non_utf8_file_exit_four(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dims": [2, 2], "matrix": "\xff"}')
+        code = main(["faithful", "--file", str(path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file_exit_four(self, capsys, tmp_path):
         code, _ = run(capsys, ["faithful", "--file", str(tmp_path / "none.json")])
         assert code == 4

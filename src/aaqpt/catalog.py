@@ -54,6 +54,7 @@ def sigma_e(p: float) -> BipartiteState:
     """
     if not (_real(p) and 0.0 <= p <= 1.0):
         raise ParameterOutOfRangeError(f"need 0 <= p <= 1, got {p!r}")
+    p = float(p)  # a Fraction counts as its float
     v1 = np.zeros(9, dtype=complex)
     v1[0] = v1[4] = 1.0  # |00> + |11>
     v2 = np.zeros(9, dtype=complex)
@@ -70,6 +71,7 @@ def horodecki(a: float) -> BipartiteState:
     """
     if not (_real(a) and 0.0 < a < 1.0):
         raise ParameterOutOfRangeError(f"need 0 < a < 1, got {a!r}")
+    a = float(a)  # a Fraction counts as its float; np.sqrt takes none
     b = (1 + a) / 2
     c = np.sqrt(1 - a * a) / 2
     m = np.zeros((9, 9), dtype=complex)

@@ -41,6 +41,7 @@ from .qstate import (
     validate_density,
     _check_tol,
     _frozen,
+    _items,
     _min_eigenvalues,
     _numbers,
     _partial_trace_keep,
@@ -90,8 +91,11 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> KrausChannel:
     """Validate a Kraus set: square operators of one dimension satisfying
     the completeness condition ``sum K^dag K = I`` within ``tol``, which
     must be a finite number >= 0 (else ParameterOutOfRangeError)."""
-    _check_tol(tol)
-    ops = [as_matrix(k) for k in kraus]
+    tol = _check_tol(tol)
+    items = _items(kraus)
+    if items is None:
+        raise MixedDimensionsError(f"Kraus operators must come as a sequence, got {kraus!r}")
+    ops = [as_matrix(k) for k in items]
     if not ops:
         raise MixedDimensionsError("at least one Kraus operator is required")
     dims = {require_square(op) for op in ops}
@@ -138,7 +142,7 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     exists, else by its eigenvalues.  ``tol`` must be a finite number >= 0,
     else ParameterOutOfRangeError.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     c = as_matrix(matrix)
     d2 = require_square(c)
     d = int(round(np.sqrt(d2)))
@@ -240,7 +244,7 @@ def predict_output(m: Superoperator, sigma: DensityMatrix, tol: float = 1e-7) ->
     bad or partial M rather than a bad probe.  ``tol`` must be a finite
     number >= 0, else ParameterOutOfRangeError.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     out = propagate(m, sigma.matrix)
     try:
         return validate_density(out, tol=tol)

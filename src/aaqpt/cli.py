@@ -61,8 +61,7 @@ def _validation_tolerance() -> float:
         tol = float(env)
     except ValueError:
         tol = env  # not a number, which the check reports
-    _check_tol(tol, "AAQPT_DEFAULT_TOL")
-    return tol
+    return _check_tol(tol, "AAQPT_DEFAULT_TOL")
 
 
 def _load_json(path: str):

@@ -14,6 +14,14 @@ near-unfaithful inputs from amplifying tomography noise always takes the SVD
 route.  :func:`extract` and the experiment's :func:`_pseudo` run this one
 pipeline: the rank rule ``realignment._ranks``, then :func:`_right_solve`.
 
+:func:`extract` solves in real arithmetic: it writes both realignments in
+the Hermitian basis of ``realignment._correlations``, where they are real
+matrices with the same singular values, solves there, and takes the real
+solution back with ``realignment._natural``.  M and the residual are those
+of the Hermitian parts of the two states, and M maps Hermitian operators to
+Hermitian ones bit for bit.  The experiment's :func:`_pseudo` solves its
+small stacks in complex arithmetic.
+
 For unfaithful inputs, strict mode refuses; pseudo mode truncates the small
 singular values and returns the Moore-Penrose solution, which still predicts
 outputs correctly for probe operators inside the *probed subspace* -- the
@@ -39,9 +47,11 @@ from .channel import (
 )
 from .errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
 from .catalog import max_entangled, probe_states
-from .qstate import BipartiteState, trace_distance, _dagger, _frozen, _real
+from .qstate import BipartiteState, trace_distance, _frozen, _real
 from .realignment import (
     SingularSpectrum,
+    _correlations,
+    _natural,
     _ranks,
     _realigned,
     _realignment_values,
@@ -55,9 +65,10 @@ from .realignment import (
 class ExtractionResult:
     """Extracted superoperator plus diagnostics.
 
-    ``residual`` is ``max|realign(out) - m @ realign(in)|`` -- how well the
-    data is explained; ``truncated_count`` is the number of singular values
-    dropped by the pseudo-inverse (always 0 in strict mode).  The eigenvalues
+    ``residual`` is ``max|realign(out) - m @ realign(in)|`` on the Hermitian
+    parts of the two states -- how well the data is explained;
+    ``truncated_count`` is the number of singular values dropped by the
+    pseudo-inverse (always 0 in strict mode).  The eigenvalues
     of the reshuffled Choi matrix quantify how far the raw map is from a
     completely positive one; the map is reported raw, not projected.
     """
@@ -140,11 +151,12 @@ def extract(
     values at the threshold (the realignment module's default policy unless
     overridden) and reports how many were dropped.
 
-    A square input of full rank is solved by LU; every other input goes
-    through the reduced SVD of ``realign(in)`` restricted to the singular
-    values above the threshold.  Both give the unique solution when it
-    exists, so the choice moves M only by round-off.  Any other ``mode``
-    raises ParameterOutOfRangeError.
+    Both realignments are solved as real matrices in the Hermitian basis of
+    the module docstring.  A square input of full rank is solved by LU;
+    every other input goes through the reduced SVD of the real
+    ``realign(in)`` restricted to the singular values above the threshold.
+    Both give the unique solution when it exists, so the choice moves M only
+    by round-off.  Any other ``mode`` raises ParameterOutOfRangeError.
     """
     if mode not in ("strict", "pseudo"):
         raise ParameterOutOfRangeError(f"mode must be 'strict' or 'pseudo', got {mode!r}")
@@ -161,17 +173,20 @@ def extract(
     rank = spectrum.rank
     if mode == "strict" and rank < required:
         raise NotFaithfulError(required - rank)
-    r_in, r_out = _realigned(input_state), _realigned(output_state)
-    m = _right_solve(r_in[None], r_out[None], np.array([rank]))[0]
-    d = input_state.dim_a
-    choi = _reshuffle(m, d, d)
+    d, d_b = input_state.dim_a, input_state.dim_b
+    c_in = _correlations(_realigned(input_state), d, d_b)
+    c_out = _correlations(_realigned(output_state), d, d_b)
+    m_r = _right_solve(c_in[None], c_out[None], np.array([rank]))[0]
+    # M maps Hermitian operators to Hermitian ones bit for bit, so its
+    # reshuffled Choi matrix is exactly Hermitian
+    m = _natural(m_r, d, d)
     return ExtractionResult(
         m=Superoperator(dim=d, matrix=_frozen(m)),
         mode=mode,
         input_spectrum=spectrum,
-        residual=float(np.abs(r_out - m @ r_in).max()),
+        residual=float(np.abs(_natural(c_out - m_r @ c_in, d, d_b)).max()),
         truncated_count=int(values.size - rank),
-        choi_eigenvalues=_frozen(np.linalg.eigvalsh((choi + _dagger(choi)) / 2)),
+        choi_eigenvalues=_frozen(np.linalg.eigvalsh(_reshuffle(m, d, d))),
     )
 
 

@@ -12,17 +12,19 @@ vectorized objects) have ``*_matrix`` entry points working on bare arrays;
 the typed entry points take and return validated containers.
 
 Every public entry point of the package checks what a caller passes in
-through the four owners of the input rules here: :func:`_numbers` (behind
-:func:`as_matrix`) for arrays of finite numbers, :func:`_integer_in` for
+through the owners of the input rules here: :func:`_numbers` (behind
+:func:`as_matrix`) for arrays of finite numbers, :func:`_items` for
+sequences of operators or qubits, :func:`_integer_in` for
 dimensions and indices, :func:`_real` for real parameters and
-:func:`_check_tol` for tolerances and thresholds, finite reals >= 0.  No bool
-passes the last three.
+:func:`_check_tol` for tolerances and thresholds, finite reals >= 0, which
+it hands back as floats.  No bool passes the last three.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,10 +89,23 @@ def _real(value) -> bool:
     )
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """Reject a tolerance or threshold that is not a finite real >= 0."""
-    if not (_real(tol) and 0.0 <= tol < math.inf):
+def _items(value) -> tuple | None:
+    """The items of ``value`` as a tuple, or None when it cannot be iterated
+    (a scalar, None or a 0-d array), for the caller to reject."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return None
+
+
+def _check_tol(tol: float, name: str = "tol") -> float:
+    """``tol`` as a float, rejecting a tolerance or threshold that is not a
+    finite real >= 0 (an int or Fraction beyond the float range included).
+    The float keeps a Fraction out of numpy, which would compute with object
+    arrays."""
+    if not (_real(tol) and 0.0 <= tol <= sys.float_info.max):
         raise ParameterOutOfRangeError(f"{name} must be a finite number >= 0, got {tol!r}")
+    return float(tol)
 
 
 def require_square(m: np.ndarray) -> int:
@@ -199,7 +214,7 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     Raises :class:`NotSquareError`, :class:`NotHermitianError`,
     :class:`NotUnitTraceError` or :class:`NotPositiveError`.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     a = as_matrix(m)
     dim = require_square(a)
     failure = _density_failures(a, tol).item()
@@ -219,9 +234,15 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product of two matrices in the shared index convention.
 
     The entry at composite row ``i*rows_b + r``, column ``j*cols_b + c``
-    equals ``a[i, j] * b[r, c]``.
+    equals ``a[i, j] * b[r, c]``.  A product beyond the float range raises
+    AaqptError, as a non-finite input does.
     """
-    return np.kron(as_matrix(a), as_matrix(b))
+    a, b = as_matrix(a), as_matrix(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.kron(a, b)
+    if not np.isfinite(out).all():
+        raise AaqptError("tensor product has entries beyond the float range")
+    return out
 
 
 def _bipartite_matrix(m, dim_a: int, dim_b: int, convert=None) -> np.ndarray:

@@ -14,6 +14,14 @@ singular values.  A state is *faithful* -- its output under any channel on A
 determines that channel completely -- iff none of those singular values
 vanish, i.e. R is invertible.  The singular values are invariant under local
 unitaries, and their sum exceeding 1 certifies entanglement (CCNR).
+
+Written in orthonormal bases of Hermitian operators, ``R`` of a Hermitian
+matrix is the real correlation matrix ``C_mn = Tr(rho G_m (x) H_n)``, with
+the same singular values (the Bloch form of the realignment criterion).
+:func:`_correlations` takes ``R`` there through the unitary
+``X -> Re X + Im X`` on each factor and :func:`_natural` takes a real matrix
+back, so the spectrum of a state and the extraction solve run in real
+arithmetic, on the Hermitian part of the state.
 """
 
 from __future__ import annotations
@@ -110,8 +118,7 @@ def _ranks(values: np.ndarray, rows: int, threshold: float | None = None):
     if threshold is None:
         tau = default_threshold(values[..., 0] if values.shape[-1] else 0.0, rows)
     else:
-        _check_tol(threshold, "threshold")
-        tau = float(threshold)
+        tau = _check_tol(threshold, "threshold")
     return np.count_nonzero(values > np.expand_dims(tau, -1), axis=-1), tau
 
 
@@ -158,13 +165,60 @@ def realign(s: BipartiteState) -> np.ndarray:
     return realign_matrix(s.matrix, s.dim_a, s.dim_b)
 
 
+def _pair_swaps(t: np.ndarray):
+    # the views P t, t Q and P t Q of a stack (..., dA, dA, dB, dB), where P
+    # swaps the row pair index (i, j) -> (j, i) and Q the column pair index
+    pt = t.swapaxes(-4, -3)
+    return pt, t.swapaxes(-2, -1), pt.swapaxes(-2, -1)
+
+
+def _correlations(r: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """The real matrices ``Re(U_A^dag r U_B)`` of a stack (..., dA^2, dB^2)
+    of realigned matrices, where ``U_d = ((1+i) I + (1-i) P_d) / 2`` is
+    unitary and ``P_d`` swaps the pair index (i, j) -> (j, i).
+
+    ``U_d^dag`` takes the vectorization of a Hermitian X to that of the real
+    ``Re X + Im X``, so for the realignment of a Hermitian matrix nothing is
+    dropped: the result is its correlation matrix ``Tr(rho G_m (x) H_n)`` in
+    orthonormal bases of Hermitian operators G on A and H on B, with the
+    same singular values.  For any other matrix it is that of the Hermitian
+    part.  Written out, ``(Re R + Re PRQ + Im RQ - Im PR) / 2`` on four
+    strided views.
+    """
+    lead = r.shape[:-2]
+    t = r.reshape(lead + (dim_a, dim_a, dim_b, dim_b))
+    pr, rq, prq = _pair_swaps(t)
+    c = np.add(t.real, prq.real)
+    c += rq.imag
+    c -= pr.imag
+    c *= 0.5
+    return c.reshape(lead + (dim_a * dim_a, dim_b * dim_b))
+
+
+def _natural(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """``U_A x U_B^dag``, the inverse of :func:`_correlations`, for a stack
+    (..., dA^2, dB^2) of real matrices: ``((x + PxQ) + i (xQ - Px)) / 2``.
+    Swapping both pair indices of the result conjugates it entrywise, bit
+    for bit."""
+    lead = x.shape[:-2]
+    t = x.reshape(lead + (dim_a, dim_a, dim_b, dim_b))
+    px, xq, pxq = _pair_swaps(t)
+    out = np.empty(t.shape, dtype=complex)
+    np.add(t, pxq, out=out.real)
+    np.subtract(xq, px, out=out.imag)
+    out *= 0.5
+    return out.reshape(lead + (dim_a * dim_a, dim_b * dim_b))
+
+
 def _realignment_values(s: BipartiteState) -> np.ndarray:
     # the state is immutable, so the values-only SVD of its realignment is
     # run once and stored on it; every rank decision about the state then
-    # scales its threshold by the same s_max, bit for bit.  Being once per
-    # state, it keeps the public realign and its copies
+    # scales its threshold by the same s_max, bit for bit.  The SVD runs in
+    # real arithmetic on the correlation matrix, which has the same values.
+    # Being once per state, it keeps the public realign and its copies
     if s._realignment_values is None:
-        values = _frozen(_svd(realign(s), compute_uv=False))
+        r = _correlations(realign(s), s.dim_a, s.dim_b)
+        values = _frozen(_svd(r, compute_uv=False))
         object.__setattr__(s, "_realignment_values", values)
     return s._realignment_values
 

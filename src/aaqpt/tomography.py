@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +58,7 @@ from .qstate import (
     _fidelity,
     _frozen,
     _integer_in,
+    _items,
     _numbers,
     _partial_trace_keep,
     _real,
@@ -117,7 +117,10 @@ class Gate:
 
     def __post_init__(self):
         # a tuple keeps the gate hashable, the key of its cached unitary
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+        qubits = _items(self.qubits)
+        if qubits is None:
+            raise ParameterOutOfRangeError(f"gate qubits must be a sequence, got {self.qubits!r}")
+        object.__setattr__(self, "qubits", qubits)
 
 
 @dataclass(frozen=True)
@@ -299,7 +302,7 @@ def run_exact(circuit: Circuit, noise: NoiseModel, keep: tuple[int, ...]) -> Den
     in ascending qubit order.
     """
     n = circuit.qubit_count
-    qubits = tuple(keep) if isinstance(keep, Iterable) else ()
+    qubits = _items(keep) or ()
     valid = all(_integer_in(q, 0, n) for q in qubits) and len(set(qubits)) == len(qubits)
     if not (qubits and valid):
         raise ParameterOutOfRangeError(f"keep={keep!r} is not a valid qubit subset")

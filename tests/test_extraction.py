@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from aaqpt import realignment
+from aaqpt import extraction, realignment
 from aaqpt.catalog import PAULI_X, horodecki, max_entangled, probe_states, sigma_e
 from aaqpt.channel import apply, apply_extended, make_channel, propagate, superoperator
 from aaqpt.errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
@@ -275,6 +275,19 @@ class TestSpectralCore:
         assert result.input_spectrum.values is verdict.spectrum.values
         assert total == verdict.spectrum.sum
 
+    def test_spectrum_and_solve_run_in_real_arithmetic(self):
+        rng = np.random.default_rng(86)
+        for s, mode in ((faithful_random_state(3, rng), "strict"), (sigma_e(0.3), "pseudo")):
+            out = apply_extended(random_channel(3, 2, rng), s)
+            with mock.patch.object(realignment, "_svd", wraps=realignment._svd) as values, \
+                    mock.patch.object(extraction, "_svd", wraps=extraction._svd) as reduced, \
+                    mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+                result = extract(s, out, mode=mode)
+            kernels = values.call_args_list + reduced.call_args_list + solve.call_args_list
+            assert len(kernels) == 2
+            assert all(call.args[0].dtype == np.float64 for call in kernels)
+            assert result.m.matrix.dtype == complex
+
     def test_zero_threshold_keeps_round_off_singular_value(self):
         # horodecki's zero singular value comes out of the SVD as ~1e-17, so
         # threshold 0 counts full rank while the realignment is exactly
@@ -318,7 +331,7 @@ class TestSpectralCore:
             # an equal state built separately, asked in the opposite order
             twin = bipartite(np.array(s.matrix), s.dim_a, s.dim_b)
             spectra = [
-                singular_spectrum(realign(s), threshold=threshold),
+                is_faithful(s, threshold=threshold).spectrum,
                 extract(s, s, mode="pseudo", threshold=threshold).input_spectrum,
                 reachable_report(s, threshold=threshold).spectrum,
                 reachable_report(twin, threshold=threshold).spectrum,
@@ -330,3 +343,9 @@ class TestSpectralCore:
                 assert np.array_equal(sp.values, spectra[0].values)
                 assert sp.threshold == spectra[0].threshold
                 assert sp.rank == spectra[0].rank
+            # the state's values come from a real SVD of the same spectrum,
+            # so a bare complex SVD of its realignment agrees to round-off
+            bare = singular_spectrum(realign(s), threshold=threshold)
+            scale = spectra[0].values[0]
+            assert np.abs(bare.values - spectra[0].values).max() <= 1e-14 * scale
+            assert bare.rank == spectra[0].rank

@@ -4,6 +4,7 @@ and tolerances raise a typed AaqptError, never a bare numpy or Python
 exception, and never come back as a wrong or empty result."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from aaqpt.channel import (
 from aaqpt.errors import (
     AaqptError,
     DimensionMismatchError,
+    MixedDimensionsError,
     NotSquareError,
     ParameterOutOfRangeError,
 )
@@ -43,7 +45,7 @@ from aaqpt.realignment import (
     singular_spectrum,
     swap_operator,
 )
-from aaqpt.tomography import project_to_state
+from aaqpt.tomography import Circuit, Gate, NoiseModel, project_to_state, run_exact
 
 MIXED = np.eye(4) / 4
 BELL = max_entangled(2)
@@ -72,6 +74,9 @@ ESCAPES = [
     (lambda: validate_density(MIXED, tol=None), ParameterOutOfRangeError),
     (lambda: validate_density(MIXED, tol="1e-3"), ParameterOutOfRangeError),
     (lambda: validate_density(MIXED, tol=True), ParameterOutOfRangeError),
+    (lambda: validate_density(MIXED, tol=10**400), ParameterOutOfRangeError),
+    (lambda: validate_density(MIXED, tol=Fraction(10**400, 3)), ParameterOutOfRangeError),
+    (lambda: validate_density(MIXED, tol=Fraction(-1, 10**400)), ParameterOutOfRangeError),
     (lambda: make_choi(np.eye(4) / 2, tol=None), ParameterOutOfRangeError),
     (lambda: is_faithful(BELL, threshold="x"), ParameterOutOfRangeError),
     (lambda: singular_spectrum(MIXED, threshold=[1]), ParameterOutOfRangeError),
@@ -80,11 +85,18 @@ ESCAPES = [
     (lambda: validate_density([[1, 0], [0]]), AaqptError),
     (lambda: make_channel([[["a"]]]), AaqptError),
     (lambda: make_channel([np.zeros((0, 0))]), NotSquareError),
+    (lambda: make_channel(5), MixedDimensionsError),
+    (lambda: make_channel(np.array(5)), MixedDimensionsError),
+    (lambda: make_channel(None), MixedDimensionsError),
+    (lambda: Gate("H", 5), ParameterOutOfRangeError),
+    (lambda: Gate("H", np.array(0)), ParameterOutOfRangeError),
+    (lambda: run_exact(Circuit(1, ()), NoiseModel(), np.array(0)), ParameterOutOfRangeError),
     (lambda: project_to_state(np.array([["a", "b"], ["c", "d"]])), AaqptError),
     (lambda: devectorize([np.nan] * 4), AaqptError),
     (lambda: devectorize([]), NotSquareError),
     (lambda: tensor("a", 1), AaqptError),
     (lambda: tensor([[np.nan]], np.eye(2)), AaqptError),
+    (lambda: tensor([[1e42]], [[1e267]]), AaqptError),
     (lambda: serialize.matrix_to_json("ab"), AaqptError),
 ]
 
@@ -93,6 +105,16 @@ ESCAPES = [
 def test_bad_input_raises_a_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_a_fraction_counts_as_its_float():
+    assert np.array_equal(horodecki(Fraction(1, 2)).matrix, horodecki(0.5).matrix)
+    assert np.array_equal(sigma_e(Fraction(1, 3)).matrix, sigma_e(1 / 3).matrix)
+    tol = Fraction(1, 10**9)
+    assert np.array_equal(validate_density(MIXED, tol=tol).matrix, MIXED)
+    assert make_choi(np.eye(4) / 2, tol=tol).dim == 2
+    assert make_channel([np.eye(2)], tol=tol).dim == 2
+    assert is_faithful(BELL, threshold=Fraction(1, 4)).spectrum.threshold == 0.25
 
 
 # ------------------------------------------------------------------ fuzz
@@ -104,6 +126,8 @@ SCALARS = st.one_of(
     st.integers(-3, 6).map(np.int64),
     st.floats(),
     st.floats().map(np.float64),
+    st.fractions(),
+    st.fractions(0, 1),
     st.complex_numbers(),
     st.text(max_size=3),
     st.lists(st.integers(-2, 2), max_size=2),

@@ -1,6 +1,6 @@
-"""Property tests for extraction, the Kraus action on A and the
-realignment spectrum, over hypothesis-drawn dimensions, states and
-channels."""
+"""Property tests for extraction, the Kraus action on A, the realignment
+spectrum and the real Hermitian basis both run in, over hypothesis-drawn
+dimensions, states and channels."""
 
 from unittest import mock
 
@@ -9,10 +9,17 @@ from hypothesis import assume, given, strategies as st
 
 from aaqpt import extraction
 from aaqpt.catalog import horodecki, sigma_e
-from aaqpt.channel import apply_extended
+from aaqpt.channel import apply_extended, superop_to_choi
 from aaqpt.extraction import extract, reachable_report
 from aaqpt.qstate import bipartite
-from aaqpt.realignment import is_faithful, realign
+from aaqpt.realignment import (
+    _correlations,
+    _natural,
+    is_faithful,
+    realign,
+    realign_matrix,
+    swap_operator,
+)
 from aaqpt.sampling import random_bipartite, random_channel, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -93,3 +100,93 @@ def test_spectrum_invariant_under_local_unitaries(dims, seed):
     assert np.abs(before - after).max() < 1e-12
     # and the stored values are those of the realignment itself
     assert np.abs(after - np.linalg.svd(realign(rotated), compute_uv=False)).max() < 1e-12
+
+
+# ------------------------------------------- the real Hermitian basis
+
+dims_123 = st.sampled_from([1, 2, 3])
+
+
+def basis_change(d: int) -> np.ndarray:
+    """``U_d = ((1+i) I + (1-i) P_d) / 2`` as a dense matrix, P_d the swap
+    of the pair index (i, j) -> (j, i)."""
+    return ((1 + 1j) * np.eye(d * d) + (1 - 1j) * swap_operator(d)) / 2
+
+
+def swapped_conjugate(m: np.ndarray, d: int) -> np.ndarray:
+    """``P m* P`` by index permutation, so that no round-off enters."""
+    perm = np.arange(d * d).reshape(d, d).T.ravel()
+    return m.conj()[perm][:, perm]
+
+
+@given(d_a=dims_123, d_b=dims_123, lead=st.sampled_from([(), (1,), (3,)]), seed=seeds)
+def test_correlations_match_the_dense_basis_change(d_a, d_b, lead, seed):
+    rng = np.random.default_rng(seed)
+    shape = lead + (d_a * d_a, d_b * d_b)
+    r = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u_a, u_b = basis_change(d_a), basis_change(d_b)
+    assert np.abs(u_a @ u_a.conj().T - np.eye(d_a * d_a)).max() < 1e-15
+    dense = (u_a.conj().T @ r @ u_b).real
+    c = _correlations(r, d_a, d_b)
+    assert c.dtype == np.float64 and c.shape == shape
+    assert np.abs(c - dense).max() < 1e-14
+    x = rng.normal(size=shape)
+    assert np.abs(_natural(x, d_a, d_b) - u_a @ x @ u_b.conj().T).max() < 1e-14
+
+
+@given(d_a=dims_123, d_b=dims_123, seed=seeds)
+def test_correlations_and_natural_round_trip(d_a, d_b, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d_a * d_a, d_b * d_b))
+    assert np.abs(_correlations(_natural(x, d_a, d_b), d_a, d_b) - x).max() < 1e-15
+    # a Hermitian matrix loses nothing to the real part
+    r = realign_matrix(random_bipartite(d_a, d_b, rng).matrix, d_a, d_b)
+    assert np.abs(_natural(_correlations(r, d_a, d_b), d_a, d_b) - r).max() < 1e-15
+
+
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), seed=seeds)
+def test_spectrum_is_that_of_the_hermitian_part(dims, seed):
+    d_a, d_b = dims
+    n = d_a * d_b
+    rng = np.random.default_rng(seed)
+    # a state with an anti-Hermitian part i*S, S real symmetric with zero
+    # diagonal, that validation lets through at tol
+    tol = 1e-3
+    s = rng.uniform(-tol / 2, tol / 2, size=(n, n))
+    s = np.triu(s, 1) + np.triu(s, 1).T
+    h = random_bipartite(d_a, d_b, rng).matrix
+    rho = bipartite(h + 1j * s, d_a, d_b, tol=tol)
+    values = is_faithful(rho).spectrum.values
+    scale = values[0]
+    hermitian = np.linalg.svd(realign_matrix(h, d_a, d_b), compute_uv=False)
+    assert np.abs(values - hermitian).max() <= 1e-14 * scale
+    # Weyl: the values of realign(rho) lie within ||rho - h||_F
+    raw = np.linalg.svd(realign(rho), compute_uv=False)
+    assert np.abs(values - raw).max() <= np.linalg.norm(s) + 1e-14 * scale
+
+
+@given(
+    case=st.one_of(
+        st.tuples(st.sampled_from([(2, 2), (3, 3), (2, 3)]), st.just(None)),
+        st.tuples(
+            st.just((3, 3)),
+            st.one_of(
+                st.floats(min_value=0.05, max_value=0.95).map(sigma_e),
+                st.floats(min_value=0.05, max_value=0.95).map(horodecki),
+            ),
+        ),
+    ),
+    n=kraus_counts,
+    seed=seeds,
+)
+def test_extracted_map_preserves_hermiticity_exactly(case, n, seed):
+    (d_a, d_b), state = case
+    rng = np.random.default_rng(seed)
+    if state is None:
+        state = random_bipartite(d_a, d_b, rng)
+    ch = random_channel(d_a, n, rng)
+    result = extract(state, apply_extended(ch, state), mode="pseudo")
+    m = result.m.matrix
+    assert np.array_equal(m, swapped_conjugate(m, d_a))
+    choi = superop_to_choi(result.m)
+    assert np.array_equal(choi, choi.conj().T)

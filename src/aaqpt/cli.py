@@ -210,7 +210,7 @@ def cmd_bound_sweep(args) -> CommandResult:
                 "kernel_dimension": rep.kernel_dimension,
                 "ppt_min_eigenvalue": ppt_min_eigenvalue(state),
                 "ccnr_sum": rep.spectrum.sum,
-                "singular_values": [float(v) for v in rep.spectrum.values],
+                "singular_values": rep.spectrum.values.tolist(),
             }
         )
     keys = [k for k in rows[0] if k != "singular_values"]
@@ -328,8 +328,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    # the indenting encoder is pure Python: run it once for --out and --json
-    text = json.dumps(result.payload, indent=2) if args.out or args.json else None
+    # json.dumps(payload, indent=2), written once for --out and --json
+    text = serialize._json_text(result.payload) if args.out or args.json else None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

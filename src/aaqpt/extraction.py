@@ -265,11 +265,13 @@ def kernel_witness_pair(
     if not (_real(mixing) and 0.0 < mixing <= 1.0):
         raise ParameterOutOfRangeError(f"need 0 < mixing <= 1, got {mixing!r}")
     if strength is None:
-        strength = 0.9 * mixing / d
+        strength = 0.9 * float(mixing) / d
     if not (_real(strength) and 0.0 < strength <= mixing / d):
         raise ParameterOutOfRangeError(
             f"need 0 < strength <= mixing/d = {mixing / d:.4g}, got {strength!r}"
         )
+    # a Fraction or float32 counts as its float
+    mixing, strength = float(mixing), float(strength)
     phi = max_entangled(d, normalized=False)
     choi_base = (1 - mixing) * phi + (mixing / d) * np.eye(d * d)
     # sum_m B (x) B* is invariant under unitary remixes of the kernel basis

@@ -2,7 +2,12 @@
 
 Complex scalars are two-element ``[re, im]`` arrays, matrices are row-major
 arrays of rows, and numbers are IEEE-754 doubles in decimal (Python's json
-emits the shortest round-tripping decimal, so dump/load is bit-exact).
+emits the shortest round-tripping decimal, so dump/load is bit-exact).  The
+one exception is a failed experiment batch, whose fidelities are NaN and are
+written as json's non-standard token ``NaN``.
+
+The CLI's text is exactly ``json.dumps(payload, indent=2)``, written by
+:func:`_json_text`.
 
 Dimensions are JSON integers >= 1 (``true`` is not one), and every matrix
 entry is exactly two finite numbers; anything else raises
@@ -19,6 +24,9 @@ Documents:
 
 from __future__ import annotations
 
+import json
+from itertools import chain
+
 import numpy as np
 
 from .channel import KrausChannel, Superoperator, make_channel
@@ -32,7 +40,10 @@ from .tomography import ExperimentReport
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in as_matrix(m)]
+    # a complex double is its [re, im] pair of doubles bit for bit; the
+    # view needs rows in C order, which a transposed matrix does not have
+    a = np.ascontiguousarray(as_matrix(m))
+    return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
 def _dimension(value, what: str) -> int:
@@ -134,7 +145,7 @@ def superop_from_json(obj) -> Superoperator:
 
 def spectrum_to_json(sp: SingularSpectrum) -> dict:
     return {
-        "values": [float(v) for v in sp.values],
+        "values": sp.values.tolist(),
         "sum": sp.sum,
         "rank": sp.rank,
         "threshold": sp.threshold,
@@ -158,7 +169,7 @@ def extraction_to_json(res: ExtractionResult) -> dict:
         "residual": res.residual,
         "truncatedCount": res.truncated_count,
         "inputSpectrum": spectrum_to_json(res.input_spectrum),
-        "choiEigenvalues": [float(v) for v in res.choi_eigenvalues],
+        "choiEigenvalues": res.choi_eigenvalues.tolist(),
     }
 
 
@@ -193,3 +204,120 @@ def report_to_json(rep: ExperimentReport) -> dict:
             for d in rep.batch_details
         ],
     }
+
+
+# ------------------------------------------------------------- JSON text
+
+_INDENT = "  "
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+class _Unwritten(Exception):
+    """A key or value the writer leaves to ``json.dumps``."""
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, without its
+    pure-Python indenting encoder (before 3.13 the C encoder runs only when
+    ``indent`` is None).  Lists of floats and rows of ``[re, im]`` pairs are
+    written by one join or one format.  A non-str key, a value json does not
+    know, or nesting too deep (a circular payload) is handed to
+    ``json.dumps`` itself, which writes it or raises its own error."""
+    out: list[str] = []
+    try:
+        _encode(payload, "\n", out)
+    except (_Unwritten, RecursionError):
+        return json.dumps(payload, indent=2)
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(o, nl: str, out: list) -> None:
+    """Append the text of ``o``, whose lines start with ``nl``."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        _encode_list(o, nl, out)
+    elif isinstance(o, dict):
+        _encode_dict(o, nl, out)
+    else:
+        raise _Unwritten
+
+
+def _leaf_list(lst, nl: str, inner: str) -> str | None:
+    """The text of a list of floats or of a row of ``[re, im]`` float
+    pairs, or None for any other list and for one holding nan or inf,
+    which json spells ``NaN`` and ``Infinity``."""
+    head = lst[0]
+    sep = "," + inner
+    try:
+        if isinstance(head, float):
+            body = sep.join(map(float.__repr__, lst))
+        elif type(head) is list:
+            if set(map(type, lst)) != {list} or set(map(len, lst)) != {2}:
+                return None
+            pair_nl = inner + _INDENT
+            pair = "[" + pair_nl + "%s," + pair_nl + "%s" + inner + "]"
+            body = sep.join([pair] * len(lst)) % tuple(
+                map(float.__repr__, chain.from_iterable(lst))
+            )
+        else:
+            return None
+    except TypeError:  # an item that is not a float
+        return None
+    if "n" in body:  # finite float reprs have no letter n
+        return None
+    return "[" + inner + body + nl + "]"
+
+
+def _encode_list(lst, nl: str, out: list) -> None:
+    if not lst:
+        out.append("[]")
+        return
+    inner = nl + _INDENT
+    text = _leaf_list(lst, nl, inner)
+    if text is not None:
+        out.append(text)
+        return
+    sep = "," + inner
+    out.append("[" + inner)
+    for i, value in enumerate(lst):
+        if i:
+            out.append(sep)
+        _encode(value, inner, out)
+    out.append(nl + "]")
+
+
+def _encode_dict(dct, nl: str, out: list) -> None:
+    if not dct:
+        out.append("{}")
+        return
+    inner = nl + _INDENT
+    sep = "," + inner
+    out.append("{")
+    for i, (key, value) in enumerate(dct.items()):
+        if not isinstance(key, str):
+            raise _Unwritten
+        out.append((sep if i else inner) + _encode_str(key) + ": ")
+        _encode(value, inner, out)
+    out.append(nl + "}")

@@ -166,6 +166,8 @@ class NoiseModel:
                           ("depolarizing_2q", self.depolarizing_2q)):
             if not (_real(lam) and 0 <= lam <= 1):
                 raise ParameterOutOfRangeError(f"{name} must lie in [0, 1], got {lam!r}")
+            # a Fraction or float32 counts as its float
+            object.__setattr__(self, name, float(lam))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import aaqpt
+from aaqpt import serialize
 from aaqpt.catalog import PAULI_X, horodecki, max_entangled, sigma_e
 from aaqpt.channel import apply_extended, make_channel
-from aaqpt.cli import main
+from aaqpt.cli import build_parser, main
 from aaqpt.qstate import tensor
 from aaqpt.serialize import state_to_json
 
@@ -215,13 +216,36 @@ class TestToleranceFlags:
         assert "not a physical state" not in err
 
 
+# one argument list per subcommand that prints a payload; IN and OUT stand
+# for the bit-flip pair's files
+PAYLOAD_COMMANDS = {
+    "catalog-list": ["catalog"],
+    "catalog-export": ["catalog", "sigmaE", "--p", "0.3"],
+    "faithful": ["faithful", "--catalog", "sigmaE", "--p", "0.3"],
+    "extract": ["extract", "IN", "OUT"],
+    "bound-sweep": ["bound-sweep", "--a-grid", "0.2,0.5"],
+    "experiment-failed-batches": ["experiment", "--shots", "8", "--batches", "8", "--seed", "5"],
+}
+
+
+def command_result(argv):
+    """The CommandResult of ``argv``, computed without ``main``."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
 class TestOutFile:
+    @pytest.mark.parametrize("command", PAYLOAD_COMMANDS)
     @pytest.mark.parametrize("json_flag", [["--json"], []])
-    def test_catalog_file_bytes_equal_stdout(self, capsys, tmp_path, json_flag):
-        path = tmp_path / "sigmaE.json"
-        code, out = run(capsys, json_flag + ["--out", str(path), "catalog", "sigmaE", "--p", "0.3"])
-        assert code == 0
-        text = json.dumps(state_to_json(sigma_e(0.3)), indent=2) + "\n"
+    def test_catalog_file_bytes_equal_stdout(self, capsys, tmp_path, json_flag, command,
+                                              bitflip_files):
+        files = dict(zip(("IN", "OUT"), bitflip_files))
+        argv = [files.get(a, a) for a in PAYLOAD_COMMANDS[command]]
+        path = tmp_path / "payload.json"
+        result = command_result(argv)
+        code, out = run(capsys, json_flag + ["--out", str(path)] + argv)
+        assert code == result.exit_code
+        text = json.dumps(result.payload, indent=2) + "\n"
         assert path.read_bytes() == text.encode()
         if json_flag:
             assert out == text
@@ -235,13 +259,13 @@ class TestOutFile:
 
     def test_payload_is_encoded_once(self, capsys, tmp_path, monkeypatch):
         calls = []
-        real_iterencode = json.JSONEncoder.iterencode
+        real_json_text = serialize._json_text
 
-        def counting_iterencode(self, *args, **kwargs):
+        def counting_json_text(payload):
             calls.append(1)
-            return real_iterencode(self, *args, **kwargs)
+            return real_json_text(payload)
 
-        monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+        monkeypatch.setattr(serialize, "_json_text", counting_json_text)
         run(capsys, ["--json", "--out", str(tmp_path / "s.json"), "catalog", "bell2"])
         assert len(calls) == 1
 

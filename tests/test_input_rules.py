@@ -45,7 +45,14 @@ from aaqpt.realignment import (
     singular_spectrum,
     swap_operator,
 )
-from aaqpt.tomography import Circuit, Gate, NoiseModel, project_to_state, run_exact
+from aaqpt.tomography import (
+    Circuit,
+    Gate,
+    NoiseModel,
+    project_to_state,
+    run_exact,
+    run_experiment,
+)
 
 MIXED = np.eye(4) / 4
 BELL = max_entangled(2)
@@ -115,6 +122,28 @@ def test_a_fraction_counts_as_its_float():
     assert make_choi(np.eye(4) / 2, tol=tol).dim == 2
     assert make_channel([np.eye(2)], tol=tol).dim == 2
     assert is_faithful(BELL, threshold=Fraction(1, 4)).spectrum.threshold == 0.25
+
+
+def report_text(shots, noise):
+    return json.dumps(serialize.report_to_json(run_experiment(shots, 2, 0, noise)))
+
+
+def test_noise_and_witness_parameters_count_as_their_floats():
+    # a Fraction kept in the model would reach the report, which json cannot encode
+    assert NoiseModel(Fraction(1, 100), 0.03) == NoiseModel(0.01, 0.03)
+    assert report_text(64, NoiseModel(Fraction(1, 100), 0.03)) == report_text(
+        64, NoiseModel(0.01, 0.03)
+    )
+    # float32 weights would fail the unit-trace check
+    single = np.float32(0.01)
+    assert report_text(1024, NoiseModel(single, 0.03)) == report_text(
+        1024, NoiseModel(float(single), 0.03)
+    )
+    # a float32 mixing would fail the trace-preservation check
+    pair = kernel_witness_pair(sigma_e(0.5), np.float32(0.2))
+    twin = kernel_witness_pair(sigma_e(0.5), float(np.float32(0.2)))
+    for ch, ref in zip(pair, twin):
+        assert all(np.array_equal(k, r) for k, r in zip(ch.kraus, ref.kraus))
 
 
 # ------------------------------------------------------------------ fuzz

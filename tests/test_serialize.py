@@ -7,6 +7,8 @@ from aaqpt import serialize
 from aaqpt.catalog import PAULI_X, max_entangled, sigma_e
 from aaqpt.channel import make_channel, superoperator
 from aaqpt.errors import FileFormatError, NotUnitTraceError
+from aaqpt.qstate import validate_density
+from aaqpt.realignment import realign_check_matrix
 from aaqpt.extraction import extract
 from aaqpt.channel import apply_extended
 from aaqpt.sampling import random_bipartite, random_channel, random_density
@@ -23,6 +25,44 @@ class TestMatrixFormat:
     def test_complex_scalar_encoding(self):
         doc = serialize.matrix_to_json(np.array([[1 + 2j]]))
         assert doc == [[[1.0, 2.0]]]
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda m: m.T,
+            np.asfortranarray,
+            lambda m: m[::-1, ::2],
+            lambda m: np.real(m).T,
+            lambda m: [list(row) for row in m],
+        ],
+        ids=["transposed", "fortran", "strided", "real-transposed", "nested-list"],
+    )
+    def test_any_layout_gives_the_entrywise_floats(self, layout):
+        rng = np.random.default_rng(92)
+        m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        m[0, 0] = complex(-0.0, 0.0)
+        source = layout(m)
+        expected = [
+            [[float(z.real), float(z.imag)] for z in row]
+            for row in np.array(source, dtype=complex)
+        ]
+        doc = serialize.matrix_to_json(source)
+        assert doc == expected
+        assert json.dumps(doc) == json.dumps(expected)  # -0.0 and float type kept
+        assert {type(x) for row in doc for pair in row for x in pair} == {float}
+
+    def test_documents_of_transposed_matrices(self):
+        rho = random_density(3, np.random.default_rng(93)).matrix
+        u = np.array([[0, 1j], [1, 0]])
+        states = (
+            (serialize.density_to_json(validate_density(rho.T)), rho.T),
+            (serialize.channel_to_json(make_channel([u.conj().T]))["kraus"][0], u.conj().T),
+            (serialize.matrix_to_json(realign_check_matrix(np.kron(rho, rho), 3)),
+             realign_check_matrix(np.kron(rho, rho), 3)),
+        )
+        for doc, m in states:
+            doc = doc["matrix"] if isinstance(doc, dict) else doc
+            assert np.array_equal(serialize.matrix_from_json(doc), m)
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(FileFormatError):

@@ -100,8 +100,6 @@ def cmd_faithful(args) -> CommandResult:
         f"threshold: {_sig(verdict.spectrum.threshold)}",
         "singular values: " + ", ".join(_sig(v) for v in verdict.spectrum.values),
     ]
-    if not verdict.dims_equal:
-        lines.append("note: unequal factor dimensions; no faithfulness criterion is asserted")
     code = EXIT_OK if verdict.faithful else EXIT_NOT_FAITHFUL
     return CommandResult(code, payload, "\n".join(lines))
 

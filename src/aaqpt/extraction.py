@@ -2,10 +2,10 @@
 
 If ``rho_out = (channel (x) id)(rho_in)``, the realigned matrices satisfy
 ``realign(rho_out) = M @ realign(rho_in)`` with ``M = sum_n K_n (x) K_n*``,
-so M follows from a linear solve whenever ``realign(rho_in)`` is invertible,
-i.e. whenever the input is faithful.  The rank of ``realign(rho_in)`` comes
-from its singular values, which are computed once per state and shared with
-the faithfulness test.  A square input of full rank has one exact solution,
+so M follows from a linear solve whenever ``realign(rho_in)`` has a right
+inverse, i.e. whenever the input is faithful.  Its rank and that verdict
+come from ``realignment.is_faithful``, on singular values computed once per
+state.  A square input of full rank has one exact solution,
 found by LU.  Any other input (truncated singular values, or dA != dB) is
 solved through the reduced SVD restricted to the singular values above the
 threshold.  On an invertible input both routes give the same M up to
@@ -50,13 +50,13 @@ from .catalog import max_entangled, probe_states
 from .qstate import BipartiteState, trace_distance, _frozen, _real
 from .realignment import (
     SingularSpectrum,
+    is_faithful,
     _correlations,
     _natural,
     _ranks,
     _realigned,
-    _realignment_values,
     _reshuffle,
-    _spectrum,
+    _schmidt_factors,
     _svd,
 )
 
@@ -85,8 +85,9 @@ class ExtractionResult:
 class ReachableReport:
     """What a given input state can and cannot reveal about a channel.
 
-    ``kernel_basis`` contains dim_a x dim_a matrices, orthonormal in the
-    Hilbert-Schmidt inner product, spanning the unprobed operator subspace.
+    ``kernel_basis`` contains Hermitian dim_a x dim_a matrices, orthonormal
+    in the Hilbert-Schmidt inner product, spanning the unprobed operator
+    subspace.
     """
 
     spectrum: SingularSpectrum
@@ -165,14 +166,10 @@ def extract(
             f"input is {input_state.dim_a} x {input_state.dim_b}, "
             f"output is {output_state.dim_a} x {output_state.dim_b}"
         )
-    # rank d_a^2 makes the solve exact and unique even for d_a != d_b:
-    # the realigned input then has a right inverse
-    required = input_state.dim_a ** 2
-    values = _realignment_values(input_state)
-    spectrum = _spectrum(values, required, threshold)
-    rank = spectrum.rank
-    if mode == "strict" and rank < required:
-        raise NotFaithfulError(required - rank)
+    verdict = is_faithful(input_state, threshold)
+    spectrum, rank = verdict.spectrum, verdict.spectrum.rank
+    if mode == "strict" and not verdict.faithful:
+        raise NotFaithfulError(verdict.kernel_dimension)
     d, d_b = input_state.dim_a, input_state.dim_b
     c_in = _correlations(_realigned(input_state), d, d_b)
     c_out = _correlations(_realigned(output_state), d, d_b)
@@ -185,7 +182,7 @@ def extract(
         mode=mode,
         input_spectrum=spectrum,
         residual=float(np.abs(_natural(c_out - m_r @ c_in, d, d_b)).max()),
-        truncated_count=int(values.size - rank),
+        truncated_count=spectrum.values.size - rank,
         choi_eigenvalues=_frozen(np.linalg.eigvalsh(_reshuffle(m, d, d))),
     )
 
@@ -196,20 +193,18 @@ def reachable_report(
     """Spectrum, kernel dimension, and an orthonormal basis of the unprobed
     operator subspace of the A factor.
 
-    The basis de-vectorizes the left singular vectors of ``realign(input)``
-    whose singular values vanish: exactly the operator directions on which
-    two channels may differ while producing the same output on this state.
+    Spectrum, rank and kernel dimension are those of ``is_faithful``.  The
+    basis holds the Hermitian A factors of ``operator_schmidt`` past that
+    rank, whose singular values vanish: exactly the operator directions on
+    which two channels may differ while producing the same output on this
+    state.  No B factor is built.
     """
-    d_a = input_state.dim_a
-    spectrum = _spectrum(_realignment_values(input_state), d_a * d_a, threshold)
-    u, _, _ = _svd(_realigned(input_state))
-    basis = tuple(
-        _frozen(col.reshape(d_a, d_a).copy()) for col in u[:, spectrum.rank:].T
-    )
+    verdict = is_faithful(input_state, threshold)
+    basis, _ = _schmidt_factors(input_state, slice(verdict.spectrum.rank, None), with_b=False)
     return ReachableReport(
-        spectrum=spectrum,
-        kernel_dimension=len(basis),
-        kernel_basis=basis,
+        spectrum=verdict.spectrum,
+        kernel_dimension=verdict.kernel_dimension,
+        kernel_basis=tuple(basis),
     )
 
 
@@ -274,8 +269,8 @@ def kernel_witness_pair(
     mixing, strength = float(mixing), float(strength)
     phi = max_entangled(d, normalized=False)
     choi_base = (1 - mixing) * phi + (mixing / d) * np.eye(d * d)
-    # sum_m B (x) B* is invariant under unitary remixes of the kernel basis
-    # and Hermitian because the kernel span is closed under dagger.
+    # sum_m B (x) B* is invariant under unitary remixes of the kernel basis,
+    # and Hermitian because each basis operator B is.
     perturbation = sum(np.kron(b, b.conj()) for b in report.kernel_basis)
     ch_a = kraus_from_choi(choi_base)
     ch_b = kraus_from_choi(choi_base - strength * perturbation)

@@ -11,17 +11,19 @@ Writing a bipartite matrix as ``rho = sum rho_{ij,kl} |i><j| (x) |k><l|``
 
 ``Rc`` is the full transpose of ``R`` entrywise, so both carry the same
 singular values.  A state is *faithful* -- its output under any channel on A
-determines that channel completely -- iff none of those singular values
-vanish, i.e. R is invertible.  The singular values are invariant under local
-unitaries, and their sum exceeding 1 certifies entanglement (CCNR).
+determines that channel completely -- iff R has rank dA^2, its row count
+(:func:`is_faithful` owns this rule).  That needs dA <= dB: an ancilla at
+least as large as the system can be faithful (Altepeter et al., PRL 90,
+193601, 2003), a smaller one never is.  The singular values are invariant
+under local unitaries, and their sum above 1 certifies entanglement (CCNR).
 
 Written in orthonormal bases of Hermitian operators, ``R`` of a Hermitian
 matrix is the real correlation matrix ``C_mn = Tr(rho G_m (x) H_n)``, with
 the same singular values (the Bloch form of the realignment criterion).
 :func:`_correlations` takes ``R`` there through the unitary
 ``X -> Re X + Im X`` on each factor and :func:`_natural` takes a real matrix
-back, so the spectrum of a state and the extraction solve run in real
-arithmetic, on the Hermitian part of the state.
+back, so the spectrum, the operator Schmidt decomposition and the
+extraction solve run in real arithmetic, on the Hermitian part of a state.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ class SingularSpectrum:
 class FaithfulnessVerdict:
     """Outcome of the faithfulness test.
 
-    ``faithful`` holds iff the factors have equal dimension and the realigned
-    matrix has full rank ``dim_a**2``.  ``kernel_dimension`` counts the
-    missing rank: the dimension of the operator subspace on A whose image
-    under a channel the state cannot reveal.  ``dims_equal`` flags the
-    dA != dB case, for which no criterion is asserted and the verdict is
-    conservatively negative.
+    ``faithful`` holds iff the realigned matrix has rank
+    ``required_rank = dim_a**2``, for every pair of factor dimensions.
+    ``kernel_dimension = required_rank - rank`` counts the missing rank: the
+    dimension of the operator subspace on A whose image under a channel the
+    state cannot reveal.  ``dims_equal`` records whether dA == dB; it is
+    informational and does not enter the verdict.
     """
 
     faithful: bool
@@ -78,12 +80,12 @@ class FaithfulnessVerdict:
 @dataclass(frozen=True)
 class OperatorSchmidtDecomposition:
     """Expansion ``rho = sum_k c_k A_k (x) B_k`` with Hilbert-Schmidt
-    orthonormal operator factors and nonnegative coefficients (descending).
+    orthonormal Hermitian factors and nonnegative coefficients (descending).
 
     The coefficients are exactly the singular values of ``realign(rho)``.
     Within degenerate coefficient groups the factors are only fixed up to a
-    joint unitary remix, so the contractual properties are orthonormality
-    and reconstruction, not specific factor matrices.
+    joint orthogonal remix, so the contractual properties are Hermiticity,
+    orthonormality and reconstruction, not specific factor matrices.
     """
 
     coefficients: np.ndarray
@@ -253,40 +255,41 @@ def swap_operator(d: int) -> np.ndarray:
     return e
 
 
-def operator_schmidt(s: BipartiteState) -> OperatorSchmidtDecomposition:
-    """Operator Schmidt decomposition via the SVD of the realigned matrix.
+def _schmidt_factors(s: BipartiteState, keep: slice, with_b: bool = True):
+    """From one full SVD ``W diag(c) V^T`` of the state's correlation matrix:
+    the A factors ``U_A w`` of the columns of W in ``keep`` and, if ``with_b``
+    (else None), the B factors ``v^T U_B^dag`` of those rows of V^T, as stacks
+    (k, d, d).  :func:`_natural` maps each with the other dimension 1
+    (``U_1 = I``), so every factor is Hermitian bit for bit."""
+    d_a, d_b = s.dim_a, s.dim_b
+    w, _, vt = _svd(_correlations(_realigned(s), d_a, d_b))
+    ops_a = _frozen(_natural(w[:, keep].T[:, :, None], d_a, 1).reshape(-1, d_a, d_a))
+    if not with_b:
+        return ops_a, None
+    return ops_a, _frozen(_natural(vt[keep, None, :], 1, d_b).reshape(-1, d_b, d_b))
 
-    The A factors devectorize the left singular vectors, the B factors the
-    conjugated right singular vectors, so that
-    ``sum_k c_k A_k (x) B_k`` reconstructs the state.
-    """
-    r = _realigned(s)
-    u, values, vh = _svd(r)
-    k = min(r.shape)
-    ops_a = tuple(_frozen(u[:, i].reshape(s.dim_a, s.dim_a).copy()) for i in range(k))
-    ops_b = tuple(
-        _frozen(vh[i, :].reshape(s.dim_b, s.dim_b).copy()) for i in range(k)
-    )
-    return OperatorSchmidtDecomposition(
-        coefficients=_frozen(values.copy()), ops_a=ops_a, ops_b=ops_b
-    )
+
+def operator_schmidt(s: BipartiteState) -> OperatorSchmidtDecomposition:
+    """Operator Schmidt decomposition of the state's Hermitian part, from
+    the real SVD of its correlation matrix: exactly Hermitian factors, and
+    the coefficients of :func:`is_faithful`'s spectrum, bit for bit."""
+    values = _realignment_values(s)
+    ops_a, ops_b = _schmidt_factors(s, slice(values.size))
+    return OperatorSchmidtDecomposition(values, tuple(ops_a), tuple(ops_b))
 
 
 def is_faithful(s: BipartiteState, threshold: float | None = None) -> FaithfulnessVerdict:
-    """Decide whether the state pins down channels on A completely.
-
-    For dA != dB the criterion is not asserted; the verdict is negative with
-    ``dims_equal`` set to False.
-    """
+    """Decide whether the state pins down channels on A completely: whether
+    ``realign(s)`` has rank dA^2, at any dimensions (never when dA > dB).
+    ``extract`` and ``reachable_report`` take their rank from this verdict."""
     required = s.dim_a * s.dim_a
     spectrum = _spectrum(_realignment_values(s), required, threshold)
-    dims_equal = s.dim_a == s.dim_b
     return FaithfulnessVerdict(
-        faithful=bool(dims_equal and spectrum.rank == required),
+        faithful=spectrum.rank == required,
         spectrum=spectrum,
         required_rank=required,
-        kernel_dimension=max(required - spectrum.rank, 0),
-        dims_equal=dims_equal,
+        kernel_dimension=required - spectrum.rank,
+        dims_equal=s.dim_a == s.dim_b,
     )
 
 

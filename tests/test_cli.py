@@ -13,6 +13,7 @@ from aaqpt.catalog import PAULI_X, horodecki, max_entangled, sigma_e
 from aaqpt.channel import apply_extended, make_channel
 from aaqpt.cli import build_parser, main
 from aaqpt.qstate import tensor
+from aaqpt.sampling import random_bipartite
 from aaqpt.serialize import state_to_json
 
 
@@ -58,6 +59,13 @@ class TestFaithfulCommand:
         path.write_text(json.dumps(state_to_json(max_entangled(2))))
         code, doc = run_json(capsys, ["faithful", "--file", str(path)])
         assert code == 0 and doc["faithful"] is True
+
+    @pytest.mark.parametrize("dims, code", [((2, 3), 0), ((3, 2), 3)])
+    def test_unequal_dimensions_follow_the_rank_rule(self, capsys, tmp_path, dims, code):
+        # a 2x3 state reaches rank dA^2 = 4; a 3x2 state has rank <= 4 < 9
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_json(random_bipartite(*dims, 32))))
+        assert run(capsys, ["faithful", "--file", str(path)])[0] == code
 
     @pytest.mark.parametrize("dims", [[None, 2], [-2, -2], [2.7, 2], [True, 4], ["a", 2]])
     def test_malformed_dims_exit_four(self, capsys, tmp_path, dims):

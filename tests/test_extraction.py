@@ -15,7 +15,13 @@ from aaqpt.extraction import (
     reachable_report,
 )
 from aaqpt.qstate import bipartite, tensor, trace_distance
-from aaqpt.realignment import ccnr_sum, is_faithful, realign, singular_spectrum
+from aaqpt.realignment import (
+    ccnr_sum,
+    is_faithful,
+    operator_schmidt,
+    realign,
+    singular_spectrum,
+)
 from aaqpt.sampling import random_bipartite, random_channel, random_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -287,6 +293,15 @@ class TestSpectralCore:
             assert len(kernels) == 2
             assert all(call.args[0].dtype == np.float64 for call in kernels)
             assert result.m.matrix.dtype == complex
+        # the operator Schmidt decomposition and the kernel basis come from
+        # one full real SVD, after the values-only one of a fresh state
+        for make in (operator_schmidt, reachable_report):
+            for s in (faithful_random_state(3, rng), sigma_e(0.3), random_bipartite(3, 2, rng)):
+                with mock.patch.object(realignment, "_svd", wraps=realignment._svd) as svd, \
+                        mock.patch.object(extraction, "_svd", wraps=extraction._svd) as reduced:
+                    make(s)
+                assert reduced.call_count == 0 and svd.call_count == 2
+                assert all(call.args[0].dtype == np.float64 for call in svd.call_args_list)
 
     def test_zero_threshold_keeps_round_off_singular_value(self):
         # horodecki's zero singular value comes out of the SVD as ~1e-17, so

@@ -1,6 +1,7 @@
 """Property tests for extraction, the Kraus action on A, the realignment
-spectrum and the real Hermitian basis both run in, over hypothesis-drawn
-dimensions, states and channels."""
+spectrum and the real Hermitian basis both run in, the operator Schmidt
+decomposition and CCNR soundness, over hypothesis-drawn dimensions, states
+and channels."""
 
 from unittest import mock
 
@@ -15,12 +16,14 @@ from aaqpt.qstate import bipartite
 from aaqpt.realignment import (
     _correlations,
     _natural,
+    ccnr_sum,
     is_faithful,
+    operator_schmidt,
     realign,
     realign_matrix,
     swap_operator,
 )
-from aaqpt.sampling import random_bipartite, random_channel, random_unitary
+from aaqpt.sampling import random_bipartite, random_channel, random_separable, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 kraus_counts = st.integers(min_value=1, max_value=4)
@@ -190,3 +193,48 @@ def test_extracted_map_preserves_hermiticity_exactly(case, n, seed):
     assert np.array_equal(m, swapped_conjugate(m, d_a))
     choi = superop_to_choi(result.m)
     assert np.array_equal(choi, choi.conj().T)
+
+
+# ------------------------------------------- the operator Schmidt decomposition
+
+schmidt_states = st.one_of(
+    st.tuples(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), seeds).map(
+        lambda case: random_bipartite(*case[0], case[1])
+    ),
+    st.floats(min_value=0.05, max_value=0.95).map(sigma_e),
+    st.floats(min_value=0.05, max_value=0.95).map(horodecki),
+)
+
+
+def exactly_hermitian(op: np.ndarray) -> bool:
+    return bool(np.all(op - op.conj().T == 0.0))
+
+
+@given(state=schmidt_states)
+def test_operator_schmidt_factors_are_hermitian_and_rebuild_the_state(state):
+    osd = operator_schmidt(state)
+    assert np.array_equal(osd.coefficients, is_faithful(state).spectrum.values)
+    assert len(osd.ops_a) == len(osd.ops_b) == len(osd.coefficients)
+    assert all(exactly_hermitian(op) for op in osd.ops_a + osd.ops_b)
+    rebuilt = sum(c * np.kron(a, b) for c, a, b in zip(osd.coefficients, osd.ops_a, osd.ops_b))
+    assert np.abs(rebuilt - state.matrix).max() < 1e-12
+
+
+@given(state=schmidt_states, threshold=st.sampled_from([None, 0.0]))
+def test_kernel_basis_is_hermitian_and_spans_the_complex_svd_kernel(state, threshold):
+    d_a = state.dim_a
+    report = reachable_report(state, threshold=threshold)
+    verdict = is_faithful(state, threshold=threshold)
+    assert np.array_equal(report.spectrum.values, verdict.spectrum.values)
+    assert report.kernel_dimension == verdict.kernel_dimension == len(report.kernel_basis)
+    assert all(exactly_hermitian(op) for op in report.kernel_basis)
+    vecs = np.array([op.reshape(-1) for op in report.kernel_basis]).reshape(-1, d_a * d_a)
+    # reference: the left singular vectors of a dense complex SVD past the rank
+    u, _, _ = np.linalg.svd(realign(state))
+    kernel = u[:, verdict.spectrum.rank :]
+    assert np.abs(vecs.T @ vecs.conj() - kernel @ kernel.conj().T).max() < 1e-12
+
+
+@given(d=st.sampled_from([2, 3]), terms=st.integers(min_value=1, max_value=8), seed=seeds)
+def test_ccnr_sum_is_sound_on_separable_states(d, terms, seed):
+    assert ccnr_sum(random_separable(d, d, terms, seed)) <= 1 + 1e-9

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aaqpt.catalog import horodecki, max_entangled, sigma_e
+from aaqpt.channel import apply_extended, superoperator
 from aaqpt.errors import ParameterOutOfRangeError, UnequalDimensionsError
+from aaqpt.extraction import extract
 from aaqpt.qstate import (
     bipartite,
     partial_transpose_matrix,
@@ -26,6 +28,7 @@ from aaqpt.realignment import (
 )
 from aaqpt.sampling import (
     random_bipartite,
+    random_channel,
     random_density,
     random_product_state,
     random_separable,
@@ -239,9 +242,23 @@ class TestIsFaithful:
             assert verdict.kernel_dimension == 1
 
     def test_unequal_dimensions_flagged(self):
+        # one rule for every shape: faithful iff rank == dA^2.  An ancilla
+        # larger than the system can reach it, and strict extract then
+        # recovers the channel through the right inverse of realign(s)
         rng = np.random.default_rng(32)
-        verdict = is_faithful(random_bipartite(2, 3, rng))
+        wide = random_bipartite(2, 3, rng)
+        verdict = is_faithful(wide)
+        assert verdict.faithful
+        assert verdict.kernel_dimension == 0
+        assert not verdict.dims_equal
+        ch = random_channel(2, 2, rng)
+        result = extract(wide, apply_extended(ch, wide), mode="strict")
+        assert np.abs(result.m.matrix - superoperator(ch).matrix).max() < 1e-9
+        # a smaller ancilla never is: the rank is at most dB^2 = 4 < 9
+        narrow = random_bipartite(3, 2, rng)
+        verdict = is_faithful(narrow)
         assert not verdict.faithful
+        assert verdict.kernel_dimension == 9 - verdict.spectrum.rank == 5
         assert not verdict.dims_equal
 
     def test_local_unitary_invariance(self):

@@ -3,24 +3,20 @@
 If ``rho_out = (channel (x) id)(rho_in)``, the realigned matrices satisfy
 ``realign(rho_out) = M @ realign(rho_in)`` with ``M = sum_n K_n (x) K_n*``,
 so M follows from a linear solve whenever ``realign(rho_in)`` has a right
-inverse, i.e. whenever the input is faithful.  Its rank and that verdict
-come from ``realignment.is_faithful``, on singular values computed once per
-state.  A square input of full rank has one exact solution,
-found by LU.  Any other input (truncated singular values, or dA != dB) is
-solved through the reduced SVD restricted to the singular values above the
-threshold.  On an invertible input both routes give the same M up to
-round-off; the truncation that keeps the tiny singular values of
-near-unfaithful inputs from amplifying tomography noise always takes the SVD
-route.  :func:`extract` and the experiment's :func:`_pseudo` run this one
-pipeline: the rank rule ``realignment._ranks``, then :func:`_right_solve`.
-
-:func:`extract` solves in real arithmetic: it writes both realignments in
-the Hermitian basis of ``realignment._correlations``, where they are real
-matrices with the same singular values, solves there, and takes the real
-solution back with ``realignment._natural``.  M and the residual are those
-of the Hermitian parts of the two states, and M maps Hermitian operators to
-Hermitian ones bit for bit.  The experiment's :func:`_pseudo` solves its
-small stacks in complex arithmetic.
+inverse, i.e. whenever the input is faithful.  One routine, :func:`_solve`,
+runs it for :func:`extract`, at the rank of ``realignment.is_faithful``, and
+for the experiment's :func:`_pseudo`, at its batches' ranks by the same
+rule, so each batch's M is that of ``extract`` in pseudo mode, bit for bit.
+It solves in real arithmetic, in the Hermitian basis of
+``realignment._correlations`` where both realignments are real matrices
+with the same singular values, and takes M back with
+``realignment._natural``: M and the residual are those of the Hermitian
+parts of the two states, and M maps Hermitian operators to Hermitian ones
+bit for bit.  A square input of full rank is solved by LU, any other
+(truncated singular values, or dA != dB) through the reduced SVD restricted
+to the singular values above the threshold, which keeps the tiny singular
+values of near-unfaithful inputs from amplifying tomography noise; on an
+invertible input both give the same M up to round-off.
 
 For unfaithful inputs, strict mode refuses; pseudo mode truncates the small
 singular values and returns the Moore-Penrose solution, which still predicts
@@ -34,6 +30,7 @@ with identical outputs on the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,34 +106,43 @@ class UnfaithfulnessReport:
     witnessed: bool
 
 
-def _right_solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """M with ``M @ r_in = r_out`` on the ``ranks[b]`` leading singular
-    directions of each pair of stacks (B, rows, cols).  One stacked LU
-    solves them all when every pair is square and of full rank, as faithful
-    inputs are; else each pair is solved alone, and a lone pair that LU
-    cannot take (rank-deficient, not square, or an exactly zero pivot where
-    an explicit threshold kept a round-off singular value) by the reduced SVD.
-    """
-    rows, cols = r_in.shape[-2:]
+def _right_solve(c_in: np.ndarray, c_out: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """M with ``M @ c_in = c_out`` on the ``ranks[b]`` leading singular
+    directions of each pair of float64 stacks (B, rows, cols): one stacked
+    LU when every pair is square and of full rank, as faithful inputs are;
+    else each pair alone, by the reduced SVD if LU cannot take it
+    (rank-deficient, not square, or an exactly zero pivot where an explicit
+    threshold kept a round-off singular value)."""
+    rows, cols = c_in.shape[-2:]
     if rows == cols and (ranks == rows).all():
         try:
-            return np.linalg.solve(r_in.swapaxes(-1, -2), r_out.swapaxes(-1, -2)).swapaxes(-1, -2)
+            return np.linalg.solve(c_in.swapaxes(-1, -2), c_out.swapaxes(-1, -2)).swapaxes(-1, -2)
         except np.linalg.LinAlgError:
             pass
-    if len(r_in) > 1:
-        pairs = zip(r_in[:, None], r_out[:, None], ranks[:, None])
+    if len(c_in) > 1:
+        pairs = zip(c_in[:, None], c_out[:, None], ranks[:, None])
         return np.concatenate([_right_solve(*pair) for pair in pairs])
     (rank,) = ranks
-    u, s, vh = _svd(r_in[0], full_matrices=False)
-    return ((r_out[0] @ (vh[:rank].conj().T / s[:rank])) @ u[:, :rank].conj().T)[None]
+    u, s, vt = _svd(c_in[0], full_matrices=False)
+    return ((c_out[0] @ (vt[:rank].T / s[:rank])) @ u[:, :rank].T)[None]
+
+
+def _solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray | None = None):
+    """``(M, residual)`` of ``r_out = M @ r_in`` for stacks (B, dA^2, dB^2) of
+    realigned pairs, solved as the module docstring says; the residual
+    ``c_out - M_r @ c_in`` stays real.  Without ``ranks``, the rank rule at
+    the default threshold sets them from one stacked SVD of the real inputs."""
+    d_a, d_b = math.isqrt(r_in.shape[-2]), math.isqrt(r_in.shape[-1])
+    c_in, c_out = (_correlations(r, d_a, d_b) for r in (r_in, r_out))
+    if ranks is None:
+        ranks, _ = _ranks(_svd(c_in, compute_uv=False), d_a * d_a)
+    m = _right_solve(c_in, c_out, ranks)
+    return _natural(m, d_a, d_a), c_out - m @ c_in
 
 
 def _pseudo(r_in: np.ndarray, r_out: np.ndarray) -> np.ndarray:
-    """The experiment's extraction: the M of :func:`extract` in pseudo mode
-    at the default threshold, on stacks (B, rows, cols) of realigned pairs
-    with no state to cache their singular values."""
-    ranks, _ = _ranks(_svd(r_in, compute_uv=False), r_in.shape[-2])
-    return _right_solve(r_in, r_out, ranks)
+    """The experiment's extraction: each pair's M of pseudo-mode :func:`extract`."""
+    return _solve(r_in, r_out)[0]
 
 
 def extract(
@@ -150,14 +156,9 @@ def extract(
     ``mode="strict"`` demands a full-rank (faithful) input and raises
     :class:`NotFaithfulError` otherwise; ``mode="pseudo"`` truncates singular
     values at the threshold (the realignment module's default policy unless
-    overridden) and reports how many were dropped.
-
-    Both realignments are solved as real matrices in the Hermitian basis of
-    the module docstring.  A square input of full rank is solved by LU;
-    every other input goes through the reduced SVD of the real
-    ``realign(in)`` restricted to the singular values above the threshold.
-    Both give the unique solution when it exists, so the choice moves M only
-    by round-off.  Any other ``mode`` raises ParameterOutOfRangeError.
+    overridden) and reports how many were dropped; any other ``mode`` raises
+    ParameterOutOfRangeError.  The solve is :func:`_solve`, LU or the
+    reduced SVD in real arithmetic, as the module docstring says.
     """
     if mode not in ("strict", "pseudo"):
         raise ParameterOutOfRangeError(f"mode must be 'strict' or 'pseudo', got {mode!r}")
@@ -171,17 +172,15 @@ def extract(
     if mode == "strict" and not verdict.faithful:
         raise NotFaithfulError(verdict.kernel_dimension)
     d, d_b = input_state.dim_a, input_state.dim_b
-    c_in = _correlations(_realigned(input_state), d, d_b)
-    c_out = _correlations(_realigned(output_state), d, d_b)
-    m_r = _right_solve(c_in[None], c_out[None], np.array([rank]))[0]
+    pairs = _realigned(input_state)[None], _realigned(output_state)[None]
+    (m,), (residual,) = _solve(*pairs, np.array([rank]))
     # M maps Hermitian operators to Hermitian ones bit for bit, so its
     # reshuffled Choi matrix is exactly Hermitian
-    m = _natural(m_r, d, d)
     return ExtractionResult(
         m=Superoperator(dim=d, matrix=_frozen(m)),
         mode=mode,
         input_spectrum=spectrum,
-        residual=float(np.abs(_natural(c_out - m_r @ c_in, d, d_b)).max()),
+        residual=float(np.abs(_natural(residual, d, d_b)).max()),
         truncated_count=spectrum.values.size - rank,
         choi_eigenvalues=_frozen(np.linalg.eigvalsh(_reshuffle(m, d, d))),
     )

@@ -121,7 +121,7 @@ def _ranks(values: np.ndarray, rows: int, threshold: float | None = None):
         tau = default_threshold(values[..., 0] if values.shape[-1] else 0.0, rows)
     else:
         tau = _check_tol(threshold, "threshold")
-    return np.count_nonzero(values > np.expand_dims(tau, -1), axis=-1), tau
+    return (values > np.asarray(tau)[..., None]).sum(-1), tau
 
 
 def _spectrum(values: np.ndarray, rows: int, threshold: float | None) -> SingularSpectrum:

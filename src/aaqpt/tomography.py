@@ -22,8 +22,9 @@ bit-identical across reruns and batches exchangeable.
 
 An experiment draws its counts batch by batch and then runs everything else
 once, on stacks that hold every batch (:func:`run_experiment` says how a
-failed batch is marked).  Its extraction is ``extraction._pseudo``, the
-pipeline :func:`extract` runs, on the stacked pairs.  The per-matrix entry
+failed batch is marked).  Its extraction is ``extraction._pseudo``: each
+batch's M is that of :func:`extract` in pseudo mode on the batch's two
+states, bit for bit, from the one real solve both run.  The per-matrix entry
 points (:func:`linear_inversion`, :func:`project_to_state`) are the same
 kernels on a stack of one.  What no argument changes (the scoring
 constants, the two circuits and each gate's unitary) is built once per

@@ -16,6 +16,8 @@ from aaqpt.extraction import (
 )
 from aaqpt.qstate import bipartite, tensor, trace_distance
 from aaqpt.realignment import (
+    _correlations,
+    _natural,
     ccnr_sum,
     is_faithful,
     operator_schmidt,
@@ -23,6 +25,7 @@ from aaqpt.realignment import (
     singular_spectrum,
 )
 from aaqpt.sampling import random_bipartite, random_channel, random_unitary
+from aaqpt.tomography import run_experiment
 
 I2 = np.eye(2, dtype=complex)
 
@@ -293,6 +296,15 @@ class TestSpectralCore:
             assert len(kernels) == 2
             assert all(call.args[0].dtype == np.float64 for call in kernels)
             assert result.m.matrix.dtype == complex
+        # the experiment solves through the same real pipeline, stacked
+        for shots, batches, seed in ((10240, 10, 7), (8, 8, 5)):
+            with mock.patch.object(extraction, "_svd", wraps=extraction._svd) as values, \
+                    mock.patch.object(realignment, "_svd", wraps=realignment._svd) as direct, \
+                    mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+                run_experiment(shots, batches, seed)
+            assert values.call_count == 1 and solve.call_count == 1 and direct.call_count == 0
+            for call in values.call_args_list + solve.call_args_list:
+                assert call.args[0].dtype == np.float64 and call.args[0].shape[0] == batches
         # the operator Schmidt decomposition and the kernel basis come from
         # one full real SVD, after the values-only one of a fresh state
         for make in (operator_schmidt, reachable_report):
@@ -322,21 +334,28 @@ class TestSpectralCore:
     def test_mixed_stack_solves_each_pair_as_alone(self, with_deficient):
         # a full-rank pair, a zero-pivot pair (horodecki kept at full rank by
         # threshold 0) and, optionally, a rank-deficient pair: the stacked
-        # LU fails or is skipped, and every pair must come out as it does
-        # when it is solved on its own
+        # LU fails or is skipped, and every pair of real correlation
+        # matrices must come out as it does when it is solved on its own,
+        # and as extract solves it
         rng = np.random.default_rng(85)
         states = [faithful_random_state(3, rng), horodecki(0.4)]
-        ranks = [9, 9]
+        thresholds = [None, 0.0]
         if with_deficient:
-            states.append(sigma_e(0.5))
-            ranks.append(is_faithful(states[-1]).spectrum.rank)  # 7 of 9
-        r_in = np.array([realign(s) for s in states])
-        r_out = np.array([realign(apply_extended(random_channel(3, 2, rng), s)) for s in states])
-        ranks = np.array(ranks)
-        stacked = _right_solve(r_in, r_out, ranks)
-        for b in range(len(states)):
-            alone = _right_solve(r_in[b : b + 1], r_out[b : b + 1], ranks[b : b + 1])
+            states.append(sigma_e(0.5))  # rank 7 of 9
+            thresholds.append(None)
+        outputs = [apply_extended(random_channel(3, 2, rng), s) for s in states]
+        results = [extract(s, o, mode="pseudo", threshold=t)
+                   for s, o, t in zip(states, outputs, thresholds)]
+        c_in = _correlations(np.array([realign(s) for s in states]), 3, 3)
+        c_out = _correlations(np.array([realign(o) for o in outputs]), 3, 3)
+        ranks = np.array([r.input_spectrum.rank for r in results])
+        assert ranks.tolist() == [9, 9, 7][: len(states)]
+        stacked = _right_solve(c_in, c_out, ranks)
+        assert stacked.dtype == np.float64
+        for b, result in enumerate(results):
+            alone = _right_solve(c_in[b : b + 1], c_out[b : b + 1], ranks[b : b + 1])
             assert np.array_equal(stacked[b], alone[0])
+            assert np.array_equal(_natural(stacked[b], 3, 3), result.m.matrix)
 
     @pytest.mark.parametrize("threshold", [None, 1e-3])
     def test_one_rank_decision(self, threshold):

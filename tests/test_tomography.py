@@ -18,6 +18,7 @@ from aaqpt.errors import (
 )
 from aaqpt.extraction import extract
 from aaqpt.qstate import _fidelity, _root, bipartite, fidelity, tensor, validate_density
+from aaqpt.realignment import realign_matrix
 from aaqpt.serialize import report_to_json
 from aaqpt.tomography import (
     BASIS_SETTINGS,
@@ -721,6 +722,41 @@ class TestStackedExperiment:
         for mb, values in aggregates:
             mean, band = mean_band(values)
             assert abs(mb.mean - mean) <= 1e-12 and abs(mb.band - band) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "shots, batches, seed, noise, exact",
+        [(10240, 10, 7, NoiseModel(0.01, 0.03), False), (1280, 4, 16, NOISELESS, False),
+         (12800, 100, 2, NoiseModel(0.05, 0.1), False), (8, 8, 5, NOISELESS, False),
+         (8, 8, 3, NoiseModel(0.01, 0.03), False), (0, 3, 0, NoiseModel(0.01, 0.03), True)],
+    )
+    def test_batch_maps_are_pseudo_extractions(self, monkeypatch, shots, batches, seed, noise, exact):
+        # one extraction pipeline: each batch's M is extract's in pseudo
+        # mode on the batch's two states, bit for bit; at one shot per
+        # setting every estimate is a rank-2 state, and one batch fails
+        # only after its extraction
+        import aaqpt.tomography as tomo
+
+        real_pseudo = tomo._pseudo
+        calls = []
+
+        def recording_pseudo(r_in, r_out):
+            calls.append((r_in, r_out, real_pseudo(r_in, r_out)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(tomo, "_pseudo", recording_pseudo)
+        report = tomo.run_experiment(shots, batches, seed, noise, exact=exact)
+        [(r_in, r_out, m)] = calls
+        assert len(m) == (1 if exact else batches)
+        for b, pair in enumerate(zip(r_in, r_out)):
+            # the reshuffle undoes itself when dA == dB
+            rho_in, rho_out = (realign_matrix(r, 2, 2) for r in pair)
+            expected = extract(bipartite(rho_in, 2, 2), bipartite(rho_out, 2, 2), mode="pseudo")
+            assert np.array_equal(m[b], expected.m.matrix)
+        for d in report.batch_details:
+            if d.status == "ok":
+                b = 0 if exact else d.batch
+                assert np.array_equal(d.rho_in.matrix, realign_matrix(r_in[b], 2, 2))
+                assert np.array_equal(d.rho_out.matrix, realign_matrix(r_out[b], 2, 2))
 
     def test_counts_are_the_per_batch_draws(self, monkeypatch):
         import aaqpt.tomography as tomo

@@ -172,34 +172,6 @@ def _min_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray | None:
         return np.linalg.eigvalsh(h)[..., 0]
 
 
-def _density_failures(a: np.ndarray, tol: float) -> np.ndarray:
-    """The density-matrix checks of :func:`validate_density` on each matrix
-    of a finite stack (..., d, d), run all at once.
-
-    Returns an object array of the leading shape that holds, per matrix, the
-    error of the first check it fails (Hermiticity, unit trace, positivity,
-    in that order) or None.
-    """
-    adjoint = _dagger(a)
-    herm_dev = np.abs(a - adjoint).max(axis=(-2, -1))
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    min_eig = _min_eigenvalues((a + adjoint) / 2, tol)
-    bad = (herm_dev > tol) | (abs(tr - 1.0) > tol)
-    if min_eig is not None:
-        bad |= min_eig < -tol
-    failures = np.empty(np.shape(bad), dtype=object)  # all None
-    if not bad.any():
-        return failures
-    for i in np.flatnonzero(bad):
-        if herm_dev.flat[i] > tol:
-            failures.flat[i] = NotHermitianError(float(herm_dev.flat[i]))
-        elif abs(tr.flat[i] - 1.0) > tol:
-            failures.flat[i] = NotUnitTraceError(complex(tr.flat[i]))
-        else:
-            failures.flat[i] = NotPositiveError(float(min_eig.flat[i]))
-    return failures
-
-
 def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap ``m``.
 
@@ -217,9 +189,16 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     tol = _check_tol(tol)
     a = as_matrix(m)
     dim = require_square(a)
-    failure = _density_failures(a, tol).item()
-    if failure is not None:
-        raise failure
+    adjoint = _dagger(a)
+    herm_dev = float(np.abs(a - adjoint).max())
+    if herm_dev > tol:
+        raise NotHermitianError(herm_dev)
+    tr = complex(np.trace(a))
+    if abs(tr - 1.0) > tol:
+        raise NotUnitTraceError(tr)
+    min_eig = _min_eigenvalues((a + adjoint) / 2, tol)
+    if min_eig is not None and min_eig < -tol:
+        raise NotPositiveError(float(min_eig))
     return DensityMatrix(dim=dim, matrix=_frozen(a))
 
 

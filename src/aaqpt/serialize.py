@@ -2,9 +2,7 @@
 
 Complex scalars are two-element ``[re, im]`` arrays, matrices are row-major
 arrays of rows, and numbers are IEEE-754 doubles in decimal (Python's json
-emits the shortest round-tripping decimal, so dump/load is bit-exact).  The
-one exception is a failed experiment batch, whose fidelities are NaN and are
-written as json's non-standard token ``NaN``.
+emits the shortest round-tripping decimal, so dump/load is bit-exact).
 
 The CLI's text is exactly ``json.dumps(payload, indent=2)``, written by
 :func:`_json_text`.
@@ -198,8 +196,8 @@ def report_to_json(rep: ExperimentReport) -> dict:
                 "fidelity_in": d.fidelity_in,
                 "fidelity_out": d.fidelity_out,
                 "probes": dict(d.probe_fidelities),
-                "rho_in": matrix_to_json(d.rho_in.matrix) if d.rho_in else None,
-                "rho_out": matrix_to_json(d.rho_out.matrix) if d.rho_out else None,
+                "rho_in": matrix_to_json(d.rho_in.matrix),
+                "rho_out": matrix_to_json(d.rho_out.matrix),
             }
             for d in rep.batch_details
         ],

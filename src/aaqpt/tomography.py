@@ -16,19 +16,24 @@ qubits (``_outer``): a gate's ``_GATES`` matrix with the identity on the
 other qubits, or the noise's I/2^k on a gate's k qubits with the partial
 trace over them (``qstate._partial_trace_keep``) on the rest.
 
-Randomness comes exclusively from numpy's PCG64 generator with explicit
-64-bit seeds; batch b of an experiment uses seed + b, which makes reports
-bit-identical across reruns and batches exchangeable.
+Randomness comes exclusively from numpy's PCG64 generator: batch b of an
+experiment draws from the b-th stream that ``SeedSequence(seed)`` spawns, so
+reports are bit-identical across reruns, batches are exchangeable, and runs
+at different seeds share no draw.
+
+Tomography replaces each linear-inversion estimate by its nearest state in
+Frobenius norm, the eigenvalue-simplex projection of Smolin, Gambetta and
+Smith (PRL 108, 070502, 2012), which exists for every Hermitian matrix.
 
 An experiment draws its counts batch by batch and then runs everything else
-once, on stacks that hold every batch (:func:`run_experiment` says how a
-failed batch is marked).  Its extraction is ``extraction._pseudo``: each
-batch's M is that of :func:`extract` in pseudo mode on the batch's two
-states, bit for bit, from the one real solve both run.  The per-matrix entry
-points (:func:`linear_inversion`, :func:`project_to_state`) are the same
-kernels on a stack of one.  What no argument changes (the scoring
-constants, the two circuits and each gate's unitary) is built once per
-process, on first use, and kept read-only.
+once, on stacks that hold every batch.  Its extraction is
+``extraction._pseudo``: each batch's M is that of :func:`extract` in pseudo
+mode on the batch's two states, bit for bit, from the one real solve both
+run.  The per-matrix entry points (:func:`linear_inversion`,
+:func:`project_to_state`) are the same kernels on a stack of one, with the
+boundary checks of a public function around them.  What no argument
+changes (the scoring constants, the two circuits and each gate's unitary)
+is built once per process, on first use, and kept read-only.
 """
 
 from __future__ import annotations
@@ -43,19 +48,15 @@ import numpy as np
 from .catalog import PAULI_I, PAULIS, PAULI_X, PROBE_NAMES_QUBIT, probe_states
 from .channel import Superoperator, make_channel, superoperator
 from .errors import (
-    AaqptError,
     DimensionMismatchError,
     MissingBasisError,
-    NotPhysicalError,
     ParameterOutOfRangeError,
 )
 # extract stays importable from this module
 from .extraction import _pseudo, extract  # noqa: F401
 from .qstate import (
-    DEFAULT_TOL,
     DensityMatrix,
     _dagger,
-    _density_failures,
     _fidelity,
     _frozen,
     _integer_in,
@@ -181,17 +182,20 @@ class MeanBand:
 
 @dataclass(frozen=True)
 class BatchDetail:
-    """One batch of an experiment.  ``seed`` is the PCG64 seed of the
-    batch's generator, ``seed + batch`` for the run's ``seed``, or None when
-    the run used exact Born probabilities and drew nothing."""
+    """One batch of an experiment.  ``seed`` is the run's seed, from which
+    the batch's stream is derived (batch b draws from
+    ``PCG64(SeedSequence(seed).spawn(batches)[b])``, the same stream as
+    ``SeedSequence(seed, spawn_key=(b,))``), or None when the run used exact
+    Born probabilities and drew nothing.  Every batch scores, so ``status``
+    is always "ok"."""
 
     batch: int
     seed: int | None
     fidelity_in: float
     fidelity_out: float
     probe_fidelities: dict[str, float]
-    rho_in: DensityMatrix | None
-    rho_out: DensityMatrix | None
+    rho_in: DensityMatrix
+    rho_out: DensityMatrix
     status: str = "ok"
 
 
@@ -337,52 +341,45 @@ def exact_pauli_probabilities(rho: DensityMatrix) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _project(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked kernel of :func:`project_to_state` on (..., d, d) matrices.
+def _project(raw: np.ndarray) -> np.ndarray:
+    """Stacked kernel of :func:`project_to_state` on (..., d, d) matrices:
+    each Hermitian part's Frobenius-nearest state (Smolin, Gambetta and
+    Smith, PRL 108, 070502, 2012), from one stacked ``eigh``.
 
-    Returns the projected states and an object array of the leading shape
-    holding, per matrix, the error :func:`project_to_state` would raise, or
-    None.  A matrix with no positive eigenvalue yields a zero matrix in
-    place of a state, so the stack never divides by zero.
+    The eigenvectors stay and the eigenvalues move to the nearest point of
+    the probability simplex: each drops by one shift and clips at 0.  With
+    the eigenvalues in descending order, the shift is ``(cumsum_k - 1) / k``
+    at the largest support k whose k-th eigenvalue exceeds it, which is the
+    largest of these values over every k; taking that maximum needs no
+    support count, so nothing divides by zero.  The Hermitian part is taken
+    in halves, so that a finite input reaches ``eigh`` finite; eigenvalues
+    beyond the float range give a non-finite result, for the caller's
+    validation to reject.
     """
-    w, v = np.linalg.eigh((raw + _dagger(raw)) / 2)
-    w = np.where(w > 0.0, w, 0.0)
-    mass = w.sum(axis=-1)
-    empty = ~(mass > 0.0)
-    rho = (v * w[..., None, :]) @ _dagger(v) / np.where(empty, 1.0, mass)[..., None, None]
-    failures = _density_failures(rho, DEFAULT_TOL)
-    failures[empty] = NotPhysicalError("no positive eigenvalue left to renormalize")
-    return rho, failures
-
-
-def _single(rho: np.ndarray, failures: np.ndarray) -> DensityMatrix:
-    """The one state of a kernel's result, or the error it records."""
-    if failures.item() is not None:
-        raise failures.item()
-    return DensityMatrix(dim=rho.shape[-1], matrix=_frozen(rho.astype(complex)))
+    w, v = np.linalg.eigh(raw / 2 + _dagger(raw) / 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifts = (np.cumsum(w[..., ::-1], axis=-1) - 1.0) / np.arange(1, w.shape[-1] + 1)
+        w = np.maximum(w - shifts.max(axis=-1, keepdims=True), 0.0)
+        return (v * w[..., None, :]) @ _dagger(v)
 
 
 def project_to_state(matrix: np.ndarray) -> DensityMatrix:
-    """Nearest-in-spirit physical state: hermitize, clip negative
-    eigenvalues to zero, renormalize the trace to one (NotPhysicalError if
-    no eigenvalue is positive).  ``matrix`` is a square matrix of finite
-    numbers, projected in its own dtype (real input stays real)."""
+    """The state nearest to ``matrix`` in Frobenius norm: its Hermitian
+    part with the eigenvalues moved onto the probability simplex (Smolin,
+    Gambetta and Smith, PRL 108, 070502, 2012).  ``matrix`` is a square
+    matrix of finite numbers, projected in its own dtype (real input stays
+    real); the result is checked by :func:`validate_density`, so one whose
+    eigenvalues overflow raises a typed AaqptError."""
     a = _numbers(matrix, None, two_d=True)
     require_square(a)
-    return _single(*_project(a))
+    return validate_density(_project(a))
 
 
-def _invert(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked kernel of :func:`linear_inversion` on (..., 9, 4) tables,
-    returned as :func:`_project` returns its states.  A table that is not
-    finite and nonnegative with no empty row fails with MissingBasisError
-    and is inverted as if uniform, so the stack never divides by zero."""
+def _invert(counts: np.ndarray) -> np.ndarray:
+    """Stacked kernel of :func:`linear_inversion` on (..., 9, 4) tables of
+    counts with no empty row: the projected states."""
     c = np.asarray(counts, dtype=float)
-    bad = ~((np.isfinite(c) & (c >= 0)).all(axis=(-2, -1)) & (c.sum(axis=-1) > 0).all(axis=-1))
-    c = np.where(bad[..., None, None], 1.0, c)
-    rho, failures = _project(np.tensordot(c / c.sum(axis=-1, keepdims=True), _INVERSION, 2))
-    failures[bad] = MissingBasisError("counts must be finite and nonnegative, with no empty row")
-    return rho, failures
+    return _project(np.tensordot(c / c.sum(axis=-1, keepdims=True), _INVERSION, 2))
 
 
 def linear_inversion(counts: np.ndarray) -> DensityMatrix:
@@ -391,8 +388,9 @@ def linear_inversion(counts: np.ndarray) -> DensityMatrix:
 
     Correlators come from the matching setting; single-qubit expectations
     marginalize every compatible setting and average the three of them, so
-    all collected data is used.  The raw inversion is projected onto the
-    physical set afterwards (negative eigenvalues clipped, trace restored).
+    all collected data is used.  The raw inversion is then replaced by the
+    nearest state (:func:`project_to_state`).  Counts that are not finite
+    and nonnegative, or that leave a row empty, raise MissingBasisError.
     """
     try:
         c = np.asarray(counts, dtype=float)
@@ -400,7 +398,9 @@ def linear_inversion(counts: np.ndarray) -> DensityMatrix:
         raise MissingBasisError(f"counts are not a numeric table: {exc}") from None
     if c.shape != (9, 4):
         raise MissingBasisError(f"need a (9, 4) table of counts, got shape {c.shape}")
-    return _single(*_invert(c))
+    if not ((np.isfinite(c) & (c >= 0)).all() and (c.sum(axis=-1) > 0).all()):
+        raise MissingBasisError("counts must be finite and nonnegative, with no empty row")
+    return validate_density(_invert(c))
 
 
 def reference_channel_superoperator() -> Superoperator:
@@ -414,10 +414,10 @@ def _tomograph(table: np.ndarray, shots: int, rng: np.random.Generator | None) -
     return table if rng is None else rng.multinomial(shots, table)
 
 
-def _predict(m: np.ndarray, probe_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _predict(m: np.ndarray, probe_vectors: np.ndarray) -> np.ndarray:
     """Each probe's output under each superoperator of a stack (B, d^2, d^2),
-    propagated as :func:`channel.propagate` does and projected by :func:`_project`:
-    the (B, P, d, d) states and their failures, for P row-vectorized probes."""
+    propagated as :func:`channel.propagate` does and projected by
+    :func:`_project`: the (B, P, d, d) states, for P row-vectorized probes."""
     d = math.isqrt(probe_vectors.shape[-1])
     raw = np.einsum("bij,pj->bpi", m, probe_vectors)
     return _project(raw.reshape(raw.shape[:2] + (d, d)))
@@ -428,59 +428,13 @@ def _scoring() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What every experiment is scored against, whatever its arguments: the
     square roots of the noiseless (input, output) targets (2, 4, 4), the
     row-vectorized qubit probes (6, 16) and their outputs under the
-    reference map (6, 4, 4).  Built and checked on first use, then kept
-    read-only for the life of the process."""
+    reference map (6, 4, 4).  Built on first use, then kept read-only for
+    the life of the process."""
     targets = _register_states(NoiseModel())
     probe_vectors = np.array([p.matrix.reshape(-1) for p in probe_states(2)])
-    reference_outputs, failures = _predict(
-        reference_channel_superoperator().matrix[None], probe_vectors
-    )
-    for failure in failures[0]:
-        if failure is not None:
-            raise failure
+    (reference_outputs,) = _predict(reference_channel_superoperator().matrix[None], probe_vectors)
     target_roots = _root(np.array([t.matrix for t in targets]))
-    return _frozen(target_roots), _frozen(probe_vectors), _frozen(reference_outputs[0])
-
-
-def _every_batch_failed(status: list[str | None]) -> AaqptError:
-    return AaqptError(f"every batch failed; first error: {status[0]}")
-
-
-def _mark(status: list[str | None], failures: np.ndarray) -> None:
-    """Record each batch's first failure along the rows of the (B, k) object
-    array ``failures``, unless the batch has failed before."""
-    for b, row in enumerate(failures):
-        first = next((f for f in row if f is not None), None)
-        if status[b] is None and first is not None:
-            status[b] = f"failed: {first}"
-
-
-def _by_batch(fn, status: list[str | None], *stacks: np.ndarray):
-    """``fn`` on whole (B, ...) stacks, one row per batch.
-
-    Should the stacked call raise, each batch is tried alone: a batch that
-    raises is marked failed (unless it failed earlier) and takes the rows of
-    one that did not, and ``fn`` runs on the whole stacks again.  A fault in
-    one batch so fails that batch only, as it would on its own.
-    """
-    try:
-        return fn(*stacks)
-    except AaqptError:
-        pass
-    faulty = []
-    for b in range(len(status)):
-        try:
-            fn(*(s[b : b + 1] for s in stacks))
-        except AaqptError as exc:
-            faulty.append(b)
-            status[b] = status[b] or f"failed: {exc}"
-    if len(faulty) == len(status):
-        raise _every_batch_failed(status)
-    donor = next(b for b in range(len(status)) if b not in faulty)
-    stacks = tuple(s.copy() for s in stacks)
-    for s in stacks:
-        s[faulty] = s[donor]
-    return fn(*stacks)
+    return _frozen(target_roots), _frozen(probe_vectors), _frozen(reference_outputs)
 
 
 def run_experiment(
@@ -493,28 +447,30 @@ def run_experiment(
     """Simulate the full batched experiment and score it against theory.
 
     Per batch: tomograph the input and output registers (``shots/batches``
-    shots per basis setting, from generator PCG64(seed + batch)), extract the
-    channel superoperator from the reconstructed pair (pseudo mode -- the
-    data is noisy), and compute fidelities of both states against their
-    noiseless targets plus, for each single-qubit probe, the fidelity between
-    the outputs predicted by the extracted and the reference superoperator.
+    shots per basis setting, batch b from generator
+    ``PCG64(SeedSequence(seed).spawn(batches)[b])``), extract the channel
+    superoperator from the reconstructed pair (pseudo mode -- the data is
+    noisy), and compute fidelities of both states against their noiseless
+    targets plus, for each single-qubit probe, the fidelity between the
+    outputs predicted by the extracted and the reference superoperator.
     Aggregates are means with three-sigma bands over batches.  With
     ``exact=True`` the sampler is bypassed and tomography runs on exact Born
     probabilities; every batch is then the same, so the first is computed
     once and repeated.
 
     Only the draws run batch by batch.  Inversion, projection, extraction
-    and scoring then run once on the stacked counts of all batches, with
-    the checks a single batch gets.  A batch that fails one reads
-    ``failed: <message>`` with the first failure it meets, in the order a
-    lone batch would meet them, and the other batches still score; only a
-    run whose every batch fails raises.
+    and scoring then run once on the stacked counts of all batches.  Every
+    estimate and every predicted probe output is projected onto its nearest
+    state (Smolin, Gambetta and Smith, PRL 108, 070502, 2012), which exists
+    for any Hermitian matrix, so every batch scores: a batch whose map
+    predicts nonsense scores a low fidelity rather than dropping out of the
+    means.  An error on the stacks (an SVD that does not converge) raises.
 
     The noiseless targets, the probes and the reference outputs are built
-    and checked by the first call in a process and reused by every later
-    one; each call evolves the circuit under ``noise`` and validates the two
-    noisy register states itself.  ``shots``, ``batches`` and ``seed`` must
-    be integers (not bools), ``batches >= 1`` and ``seed >= 0``, else
+    by the first call in a process and reused by every later one; each
+    call evolves the circuit under ``noise`` and validates the two noisy
+    register states itself.  ``shots``, ``batches`` and ``seed`` must be
+    integers (not bools), ``batches >= 1`` and ``seed >= 0``, else
     ParameterOutOfRangeError, with or without ``exact``.
     """
     noise = noise or NoiseModel()
@@ -534,46 +490,38 @@ def run_experiment(
     target_roots, probe_vectors, reference_outputs = _scoring()
     tables = [exact_pauli_probabilities(rho) for rho in _register_states(noise)]
 
-    seeds = [None] if exact else [seed + b for b in range(batches)]
+    # batch b draws from its own stream, spawned from the run's seed
+    streams = [None] if exact else np.random.SeedSequence(seed).spawn(batches)
     counts = []
-    for batch_seed in seeds:
-        rng = None if exact else np.random.Generator(np.random.PCG64(batch_seed))
+    for stream in streams:
+        rng = None if exact else np.random.Generator(np.random.PCG64(stream))
         # the input register's draw, then the output register's
         counts.append([_tomograph(table, shots_per_batch, rng) for table in tables])
     counts = np.swapaxes(counts, 0, 1)  # (register, batch, 9, 4)
 
-    status: list[str | None] = [None] * len(seeds)
-    rho, failures = _invert(counts)
-    _mark(status, failures.T)
-
+    rho = _invert(counts)
     # extraction in pseudo mode, as extract(..., mode="pseudo") does it
-    m = _by_batch(_pseudo, status, *_reshuffle(rho, 2, 2))
-
-    predicted, probe_failures = _predict(m, probe_vectors)
-    _mark(status, probe_failures)
-    if all(status):
-        raise _every_batch_failed(status)
+    predicted = _predict(_pseudo(*_reshuffle(rho, 2, 2)), probe_vectors)
 
     # one row per score (input, output, then each probe), one column per batch
     scores = np.concatenate([_fidelity(target_roots[:, None], rho),
                              _fidelity(_root(predicted), reference_outputs).T])
     # an exact run computes its one batch once and repeats it
-    columns = [0] * batches if exact else range(len(seeds))
+    columns = [0] * batches if exact else list(range(batches))
     details = [
-        BatchDetail(b, seeds[i], math.nan, math.nan, {}, None, None, status[i]) if status[i]
-        else BatchDetail(
-            b, seeds[i], float(scores[0, i]), float(scores[1, i]),
+        BatchDetail(
+            b, None if exact else seed, float(scores[0, i]), float(scores[1, i]),
             {name: float(f) for name, f in zip(PROBE_NAMES_QUBIT, scores[2:, i])},
             DensityMatrix(dim=4, matrix=_frozen(rho[0, i])),
             DensityMatrix(dim=4, matrix=_frozen(rho[1, i])),
         )
         for b, i in enumerate(columns)
     ]
-    # the surviving batches' columns, copied into contiguous rows: mean and
-    # std along a row give the bits of the same 1-D call
-    table = np.ascontiguousarray(scores[:, [i for i in columns if status[i] is None]])
+    # the batches' columns, copied into contiguous rows: mean and std along
+    # a row give the bits of the same 1-D call
+    table = np.ascontiguousarray(scores[:, columns])
     means = table.mean(axis=1)
-    bands = 3.0 * table.std(axis=1, ddof=1) if table.shape[1] > 1 else np.zeros(len(table))
+    bands = 3.0 * table.std(axis=1, ddof=1) if batches > 1 else np.zeros(len(table))
     aggregates = [MeanBand(mean=float(m), band=float(b)) for m, b in zip(means, bands)]
 
     return ExperimentReport(

@@ -54,6 +54,12 @@ class TestFaithfulCommand:
         assert doc["faithful"] is False
         assert doc["kernelDimension"] == 2
 
+    def test_zero_tolerance_keeps_the_kernel(self, capsys):
+        code, doc = run_json(capsys, ["faithful", "--catalog", "sigmaE", "--tol", "0"])
+        assert code == 3
+        assert doc["kernelDimension"] == 2
+        assert doc["spectrum"]["threshold"] == 0.0
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_json(max_entangled(2))))

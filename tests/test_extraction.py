@@ -105,6 +105,17 @@ class TestExtract:
             direct = sum(k @ sigma @ k.conj().T for k in ch.kraus)
             assert np.abs(predicted - direct).max() < 1e-10
 
+    def test_residual_is_the_largest_entry_of_the_misfit(self):
+        # an output no channel reaches from sigma_e(1/2): the residual is
+        # max |realign(out) - M @ realign(in)|, computed here apart from
+        # the solve
+        state = sigma_e(0.5)
+        out = random_bipartite(3, 3, np.random.default_rng(75))
+        result = extract(state, out, mode="pseudo")
+        misfit = realign(out) - result.m.matrix @ realign(state)
+        assert np.abs(misfit).max() > 1e-3
+        assert abs(result.residual - np.abs(misfit).max()) <= 1e-12
+
     def test_extraction_commutes_with_ancilla_rotation(self):
         rng = np.random.default_rng(74)
         d = 3

@@ -1,14 +1,16 @@
 """Seeded experiment reports pinned against a committed golden file.
 
 ``golden_reports.json`` holds the ``report_to_json`` output of each run in
-``RUNS``: noiseless and noisy sampled runs, exact runs, and the 8x8 seed-5
-run whose failed batch keeps its status.  Every number must match to 1e-12
-and every string (each batch status among them), integer, bool and None
-exactly.  A tolerance rather than a hash, because LAPACK's last bits may
-differ between machines.
+``RUNS``: noiseless and noisy sampled runs, exact runs, and runs of one shot
+per setting and batch.  Every number must match to 1e-12 and every string
+(each batch status among them), integer, bool and None exactly.  A
+tolerance rather than a hash, because LAPACK's last bits may differ between
+machines.
 
 The file changes only with a change that moves reports on purpose.  To
-rewrite it from the code on the path, run ``python tests/test_golden_reports.py``.
+rewrite it from the code on the path, run ``python tests/test_golden_reports.py``:
+it prints the largest absolute shift of each field against the file it
+replaces, for the change to state.
 """
 
 import json
@@ -63,7 +65,7 @@ def test_golden_file_covers_the_runs():
     golden = json.loads(GOLDEN.read_text())
     assert [entry["run"] for entry in golden] == RUNS
     statuses = [d["status"] for entry in golden for d in entry["report"]["batch_details"]]
-    assert any(s.startswith("failed: ") for s in statuses)
+    assert set(statuses) == {"ok"}
 
 
 def test_reports_match_golden_file():
@@ -71,5 +73,48 @@ def test_reports_match_golden_file():
         assert_matches(report(entry["run"]), entry["report"], str(entry["run"]))
 
 
+def largest_shifts(old, new, path="report", out=None) -> dict:
+    """Per field of two reports, over every batch and matrix entry: the
+    largest ``|new - old|`` between numbers, and how many entries changed
+    otherwise (a string, bool or None that changed, or a NaN on one side
+    only).  A field is its path with the list indices left out."""
+    out = {} if out is None else out
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in old.keys() & new.keys():
+            largest_shifts(old[key], new[key], f"{path}.{key}", out)
+    elif isinstance(old, list) and isinstance(new, list):
+        for o, n in zip(old, new):
+            largest_shifts(o, n, f"{path}[]", out)
+    else:
+        shift, changed = out.get(path, (0.0, 0))
+        if all(type(x) in (int, float) for x in (old, new)) and not math.isnan(old - new):
+            shift = max(shift, abs(new - old))
+        elif not (old == new or all(type(x) is float and math.isnan(x) for x in (old, new))):
+            changed += 1
+        out[path] = shift, changed
+    return out
+
+
+def test_largest_shifts_per_field():
+    old = {"a": [1.0, 2.0], "s": "ok", "m": None, "f": math.nan, "n": math.nan}
+    new = {"a": [1.5, 1.0], "s": "failed", "m": [[0.5]], "f": 0.25, "n": math.nan}
+    assert largest_shifts(old, new) == {
+        "report.a[]": (1.0, 0),
+        "report.s": (0.0, 1),
+        "report.m": (0.0, 1),
+        "report.f": (0.0, 1),
+        "report.n": (0.0, 0),
+    }
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([{"run": run, "report": report(run)} for run in RUNS]) + "\n")
+    entries = [{"run": run, "report": report(run)} for run in RUNS]
+    if GOLDEN.exists():
+        old = {json.dumps(e["run"]): e["report"] for e in json.loads(GOLDEN.read_text())}
+        shifts = {}
+        for entry in entries:
+            if json.dumps(entry["run"]) in old:
+                largest_shifts(old[json.dumps(entry["run"])], entry["report"], out=shifts)
+        for path, (shift, changed) in sorted(shifts.items()):
+            print(f"{path}: {shift:.3g}" + (f", {changed} changed otherwise" if changed else ""))
+    GOLDEN.write_text(json.dumps(entries) + "\n")

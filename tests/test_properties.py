@@ -1,7 +1,7 @@
 """Property tests for extraction, the Kraus action on A, the realignment
 spectrum and the real Hermitian basis both run in, the operator Schmidt
-decomposition and CCNR soundness, over hypothesis-drawn dimensions, states
-and channels."""
+decomposition, CCNR soundness and the nearest-state projection of
+tomography, over hypothesis-drawn dimensions, states and channels."""
 
 from unittest import mock
 
@@ -12,7 +12,7 @@ from aaqpt import extraction
 from aaqpt.catalog import horodecki, sigma_e
 from aaqpt.channel import apply_extended, superop_to_choi
 from aaqpt.extraction import extract, reachable_report
-from aaqpt.qstate import bipartite
+from aaqpt.qstate import DEFAULT_TOL, bipartite, validate_density
 from aaqpt.realignment import (
     _correlations,
     _natural,
@@ -23,7 +23,14 @@ from aaqpt.realignment import (
     realign_matrix,
     swap_operator,
 )
-from aaqpt.sampling import random_bipartite, random_channel, random_separable, random_unitary
+from aaqpt.sampling import (
+    random_bipartite,
+    random_channel,
+    random_density,
+    random_separable,
+    random_unitary,
+)
+from aaqpt.tomography import _INVERSION, _project, exact_pauli_probabilities, linear_inversion
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 kraus_counts = st.integers(min_value=1, max_value=4)
@@ -238,3 +245,59 @@ def test_kernel_basis_is_hermitian_and_spans_the_complex_svd_kernel(state, thres
 @given(d=st.sampled_from([2, 3]), terms=st.integers(min_value=1, max_value=8), seed=seeds)
 def test_ccnr_sum_is_sound_on_separable_states(d, terms, seed):
     assert ccnr_sum(random_separable(d, d, terms, seed)) <= 1 + 1e-9
+
+
+# ------------------------------------------- the nearest-state projection
+
+
+def hermitian_stack(rng, batch: int, d: int) -> np.ndarray:
+    """Random Hermitian matrices, shifted so that some have no positive
+    eigenvalue and some more than unit trace."""
+    g = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
+    shifts = rng.uniform(-2.0, 1.0, size=(batch, 1, 1))
+    return (g + g.conj().swapaxes(-1, -2)) / 2 + shifts * np.eye(d)
+
+
+def simplex_by_bisection(h: np.ndarray) -> np.ndarray:
+    """The nearest state to the Hermitian ``h``: its eigenvalues minus the
+    shift theta at which their positive parts sum to one, found by
+    bisection on theta, with its eigenvectors."""
+    w, v = np.linalg.eigh(h)
+    low, high = w[0] - 1.0, w[-1]  # positive parts sum to >= d and to 0
+    for _ in range(200):
+        theta = (low + high) / 2
+        low, high = (theta, high) if np.maximum(w - theta, 0.0).sum() > 1.0 else (low, theta)
+    return (v * np.maximum(w - (low + high) / 2, 0.0)) @ v.conj().T
+
+
+@given(d=st.sampled_from([2, 4]), batch=st.integers(1, 5), seed=seeds)
+def test_projection_is_the_simplex_projection(d, batch, seed):
+    h = hermitian_stack(np.random.default_rng(seed), batch, d)
+    for got, m in zip(_project(h), h):
+        assert np.abs(got - simplex_by_bisection(m)).max() <= 1e-12
+
+
+@given(d=st.sampled_from([2, 4]), batch=st.integers(1, 5), seed=seeds)
+def test_no_state_is_nearer_than_the_projection(d, batch, seed):
+    rng = np.random.default_rng(seed)
+    h = hermitian_stack(rng, batch, d)
+    for got, m in zip(_project(h), h):
+        validate_density(got, tol=DEFAULT_TOL)
+        nearest = np.linalg.norm(got - m)
+        # random states of every rank, and the result moved towards them
+        for rank in [*range(1, d + 1)] * 2:
+            sigma = random_density(d, rng, rank=rank).matrix
+            assert np.linalg.norm(sigma - m) >= nearest - 1e-12
+            assert np.linalg.norm(got + 0.01 * (sigma - got) - m) >= nearest - 1e-12
+
+
+@given(shots=st.sampled_from([1, 8, 64, 1024]), seed=seeds)
+def test_projected_estimate_is_never_farther_than_the_raw_one(shots, seed):
+    # the state set is convex and holds the true state, so the projection
+    # cannot move the estimate away from it
+    rng = np.random.default_rng(seed)
+    rho = random_density(4, rng).matrix
+    counts = rng.multinomial(shots, exact_pauli_probabilities(validate_density(rho)))
+    raw = np.tensordot(counts / shots, _INVERSION, 2)
+    projected = linear_inversion(counts).matrix
+    assert np.linalg.norm(projected - rho) <= np.linalg.norm(raw - rho) + 1e-12

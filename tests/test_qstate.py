@@ -16,7 +16,6 @@ from aaqpt.errors import (
 )
 from aaqpt.qstate import (
     DEFAULT_TOL,
-    _density_failures,
     _partial_trace_keep,
     bipartite,
     fidelity,
@@ -215,7 +214,14 @@ class TestPositivityTest:
                 negative,  # not positive
             ]
         )
-        failures = _density_failures(stack, DEFAULT_TOL)
+        failures = []
+        for m in stack:
+            try:
+                validate_density(m)
+            except AaqptError as exc:
+                failures.append(exc)
+            else:
+                failures.append(None)
         kinds = [type(f).__name__ if f is not None else None for f in failures]
         assert kinds == [
             None,
@@ -227,9 +233,6 @@ class TestPositivityTest:
         ]
         for got, m in zip(failures, stack):
             assert same_failure(got, eigvalsh_failure(m, DEFAULT_TOL))
-        grid = _density_failures(stack.reshape(2, 3, 4, 4), DEFAULT_TOL)
-        assert grid.shape == (2, 3)
-        assert all(same_failure(g, f) for g, f in zip(grid.flat, failures))
 
     @pytest.mark.parametrize(
         "m",

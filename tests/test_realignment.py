@@ -350,6 +350,27 @@ def test_zero_threshold_is_valid():
     assert verdict.faithful
 
 
+def test_zero_threshold_keeps_exact_zeros_out_of_the_rank():
+    # sigma_e(1/2)'s two kernel values come out exactly 0.0: only a value
+    # strictly above the cutoff counts
+    verdict = is_faithful(sigma_e(0.5), threshold=0)
+    assert np.count_nonzero(verdict.spectrum.values == 0.0) == 2
+    assert verdict.kernel_dimension == 2 and not verdict.faithful
+
+
+@pytest.mark.parametrize(
+    "state",
+    [sigma_e(0.5), bipartite(np.eye(32) / 32, 2, 16)],
+    ids=["sigmaE", "floor"],
+)
+def test_default_threshold_formula(state):
+    # the maximally mixed 2 x 16 state has s_max * rows = 4 / sqrt(32) < 1,
+    # so the floor applies there
+    spectrum = is_faithful(state).spectrum
+    rows = state.dim_a**2
+    assert spectrum.threshold == max(spectrum.values[0] * rows * 1e-12, 1e-12)
+
+
 @given(
     batch=st.integers(1, 6),
     rows=st.integers(1, 16),

@@ -9,12 +9,12 @@ from hypothesis import given, strategies as st
 import aaqpt.tomography as tomo
 from aaqpt.catalog import PAULI_X, PAULIS, PROBE_NAMES_QUBIT, max_entangled, probe_states
 from aaqpt.channel import propagate
+from aaqpt.cli import main
 from aaqpt.errors import (
-    AaqptError,
     MissingBasisError,
-    NotPhysicalError,
     NotSquareError,
     ParameterOutOfRangeError,
+    SvdFailureError,
 )
 from aaqpt.extraction import extract
 from aaqpt.qstate import _fidelity, _root, bipartite, fidelity, tensor, validate_density
@@ -388,13 +388,15 @@ class TestLinearInversion:
 
 class TestProjectToState:
     def test_clips_and_renormalizes(self):
+        # the shift 0.2 leaves one eigenvalue in the support
         raw = np.diag([1.2, -0.1, 0.0, 0.0])
         rho = project_to_state(raw)
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
 
-    def test_no_positive_eigenvalue_rejected(self):
-        with pytest.raises(NotPhysicalError):
-            project_to_state(np.diag([-0.1, 0.0, 0.0, 0.0]))
+    def test_no_positive_eigenvalue_projects_to_nearest_state(self):
+        # every eigenvalue stays in the support, each raised by 0.275
+        rho = project_to_state(np.diag([-0.1, 0.0, 0.0, 0.0]))
+        assert np.abs(rho.matrix - np.diag([0.175, 0.275, 0.275, 0.275])).max() <= 1e-15
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(4)])
     def test_non_square_or_empty_rejected(self, bad):
@@ -444,9 +446,24 @@ class TestRunExperiment:
         b = run_experiment(shots=2560, batches=5, seed=11)
         assert report_to_json(a) == report_to_json(b)
 
-    def test_batch_seeds_derived_from_run_seed(self):
-        report = run_experiment(shots=1280, batches=4, seed=20)
-        assert [d.seed for d in report.batch_details] == [20, 21, 22, 23]
+    def test_batch_seeds_derived_from_run_seed(self, monkeypatch):
+        # every batch records the run's seed, and runs at seeds s and s + 1
+        # share no batch draw
+        real_tomograph = tomo._tomograph
+        drawn = []
+
+        def recording_tomograph(*args):
+            drawn.append(real_tomograph(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(tomo, "_tomograph", recording_tomograph)
+        draws = []
+        for seed in (20, 21):
+            drawn.clear()
+            report = tomo.run_experiment(shots=1280, batches=4, seed=seed)
+            assert [d.seed for d in report.batch_details] == [seed] * 4
+            draws.append([np.concatenate(drawn[b : b + 2]) for b in range(0, len(drawn), 2)])
+        assert not any(np.array_equal(a, b) for a in draws[0] for b in draws[1])
 
     def test_aggregation_is_order_independent(self):
         report = run_experiment(shots=2560, batches=5, seed=12)
@@ -529,15 +546,32 @@ class TestRunExperiment:
         for name, mb in report.probe_fidelities.items():
             assert mb.mean == pytest.approx(single.probe_fidelities[name].mean, rel=0, abs=1e-15)
 
-    def test_unphysical_probe_prediction_fails_its_batch(self):
-        # batch 2 (seed 7) of this 8-shot run extracts a map whose prediction
-        # for some probe has no positive eigenvalue; it must not score 0.0
+    def test_unphysical_probe_prediction_still_scores(self, monkeypatch):
+        # batch 2 of this one-shot run extracts a map whose prediction for
+        # probe L has no positive eigenvalue; its nearest state still
+        # scores, as do the batch's other fidelities
+        real_predict = tomo._predict
+        maps = []
+
+        def recording_predict(m, probe_vectors):
+            maps.append(m)
+            return real_predict(m, probe_vectors)
+
+        monkeypatch.setattr(tomo, "_predict", recording_predict)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = run_experiment(shots=8, batches=8, seed=5)
-        statuses = [d.status for d in report.batch_details]
-        assert statuses[2].startswith("failed") and "positive eigenvalue" in statuses[2]
-        assert statuses.count("ok") == 7
+            report = tomo.run_experiment(shots=8, batches=8, seed=2, noise=NoiseModel(0.01, 0.03))
+        [m] = maps
+        probe = probe_states(2)[PROBE_NAMES_QUBIT.index("L")].matrix
+        raw = (m[2] @ probe.reshape(-1)).reshape(2, 2)
+        assert np.linalg.eigvalsh((raw + raw.conj().T) / 2).max() <= 0.0
+        reference = project_to_state(propagate(reference_channel_superoperator(), probe))
+        detail = report.batch_details[2]
+        assert detail.status == "ok"
+        assert abs(detail.probe_fidelities["L"] - fidelity(project_to_state(raw), reference)) <= 1e-12
+        scores = [detail.fidelity_in, detail.fidelity_out, *detail.probe_fidelities.values()]
+        assert all(np.isfinite(scores))
+        assert [d.status for d in report.batch_details] == ["ok"] * 8
 
     def test_batch_ranks_are_the_spectrum_ranks(self, monkeypatch):
         # every batch's rank comes from one stacked call, decided as
@@ -559,30 +593,32 @@ class TestRunExperiment:
         assert values.shape == (8, 4)
         assert ranks.tolist() == [_spectrum(v.copy(), 4, None).rank for v in values]
 
-    def test_failed_batches_are_marked_not_fatal(self, monkeypatch):
-        import aaqpt.tomography as tomo
-        from aaqpt.errors import SvdFailureError
+    def test_svd_failure_raises_from_run_experiment(self, monkeypatch, capsys):
+        # an error on the stacks fails the whole run, and the CLI exits 2
+        def failing_pseudo(r_in, r_out):
+            raise SvdFailureError("injected failure")
 
-        real_pseudo = tomo._pseudo
-        faulty = []
+        monkeypatch.setattr(tomo, "_pseudo", failing_pseudo)
+        with pytest.raises(SvdFailureError, match="injected failure"):
+            tomo.run_experiment(shots=1280, batches=4, seed=16)
+        assert main(["experiment", "--shots", "1280", "--batches", "4", "--seed", "16"]) == 2
+        assert "error: injected failure" in capsys.readouterr().err
 
-        def flaky_pseudo(r_in, r_out):
-            # an SVD that fails on batch 1's input wherever it appears: in
-            # the stack of all batches and in that batch alone
-            if not faulty:
-                faulty.append(r_in[1].copy())
-            if any(np.array_equal(r, faulty[0]) for r in r_in):
-                raise SvdFailureError("injected failure")
-            return real_pseudo(r_in, r_out)
-
-        monkeypatch.setattr(tomo, "_pseudo", flaky_pseudo)
-        report = tomo.run_experiment(shots=1280, batches=4, seed=16)
-        statuses = [d.status for d in report.batch_details]
-        assert statuses.count("ok") == 3
-        assert any(s.startswith("failed") for s in statuses)
-        assert statuses[1] == "failed: injected failure"
-        # aggregates come from the surviving batches only
-        assert np.isfinite(report.fidelity_in.mean)
+    def test_no_batch_fails_over_the_grid(self):
+        # seeds x shots/batches x noise, 1020 batches, a twentieth of them
+        # predicting some probe output with no positive eigenvalue
+        noises = [NOISELESS, NoiseModel(0.01, 0.03), NoiseModel(0.2, 0.3)]
+        details = [
+            d
+            for seed in range(10)
+            for shots, batches in [(8, 8), (16, 8), (64, 4), (128, 4), (80, 10)]
+            for noise in noises
+            for d in run_experiment(shots, batches, seed, noise).batch_details
+        ]
+        assert len(details) == 1020
+        assert {d.status for d in details} == {"ok"}
+        for d in details:
+            assert np.isfinite([d.fidelity_in, d.fidelity_out, *d.probe_fidelities.values()]).all()
 
 
 def clear_caches():
@@ -661,24 +697,18 @@ def per_batch_report(shots, batches, seed, noise):
     reference_outputs = [project_to_state(propagate(m_reference, p.matrix)) for p in probes]
     rows = []
     for b in range(batches):
-        rng = np.random.Generator(np.random.PCG64(seed + b))
-        try:
-            rho_in, rho_out = (linear_inversion(rng.multinomial(shots // batches, t)) for t in tables)
-            result = extract(
-                bipartite(rho_in.matrix, 2, 2), bipartite(rho_out.matrix, 2, 2), mode="pseudo"
-            )
-            probe_fids = {
-                name: fidelity(project_to_state(propagate(result.m, p.matrix)), ref)
-                for name, p, ref in zip(PROBE_NAMES_QUBIT, probes, reference_outputs)
-            }
-        except AaqptError as exc:
-            rows.append({"status": f"failed: {exc}"})
-            continue
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        rho_in, rho_out = (linear_inversion(rng.multinomial(shots // batches, t)) for t in tables)
+        result = extract(
+            bipartite(rho_in.matrix, 2, 2), bipartite(rho_out.matrix, 2, 2), mode="pseudo"
+        )
         rows.append({
-            "status": "ok",
             "fidelity_in": fidelity(targets[0], rho_in),
             "fidelity_out": fidelity(targets[1], rho_out),
-            "probes": probe_fids,
+            "probes": {
+                name: fidelity(project_to_state(propagate(result.m, p.matrix)), ref)
+                for name, p, ref in zip(PROBE_NAMES_QUBIT, probes, reference_outputs)
+            },
             "rho_in": rho_in.matrix,
             "rho_out": rho_out.matrix,
         })
@@ -703,10 +733,8 @@ class TestStackedExperiment:
     def test_matches_per_batch_primitives(self, shots, batches, seed, noise):
         report = run_experiment(shots, batches, seed, noise)
         rows = per_batch_report(shots, batches, seed, noise)
-        assert [d.status for d in report.batch_details] == [r["status"] for r in rows]
+        assert [d.status for d in report.batch_details] == ["ok"] * batches
         for d, r in zip(report.batch_details, rows):
-            if d.status != "ok":
-                continue
             assert abs(d.fidelity_in - r["fidelity_in"]) <= 1e-12
             assert abs(d.fidelity_out - r["fidelity_out"]) <= 1e-12
             assert d.probe_fidelities.keys() == r["probes"].keys()
@@ -714,10 +742,9 @@ class TestStackedExperiment:
                 assert abs(d.probe_fidelities[name] - f) <= 1e-12
             assert np.abs(d.rho_in.matrix - r["rho_in"]).max() <= 1e-12
             assert np.abs(d.rho_out.matrix - r["rho_out"]).max() <= 1e-12
-        ok = [r for r in rows if r["status"] == "ok"]
-        aggregates = [(report.fidelity_in, [r["fidelity_in"] for r in ok]),
-                      (report.fidelity_out, [r["fidelity_out"] for r in ok])]
-        aggregates += [(mb, [r["probes"][name] for r in ok])
+        aggregates = [(report.fidelity_in, [r["fidelity_in"] for r in rows]),
+                      (report.fidelity_out, [r["fidelity_out"] for r in rows])]
+        aggregates += [(mb, [r["probes"][name] for r in rows])
                        for name, mb in report.probe_fidelities.items()]
         for mb, values in aggregates:
             mean, band = mean_band(values)
@@ -731,9 +758,8 @@ class TestStackedExperiment:
     )
     def test_batch_maps_are_pseudo_extractions(self, monkeypatch, shots, batches, seed, noise, exact):
         # one extraction pipeline: each batch's M is extract's in pseudo
-        # mode on the batch's two states, bit for bit; at one shot per
-        # setting every estimate is a rank-2 state, and one batch fails
-        # only after its extraction
+        # mode on the batch's two states, bit for bit, also at one shot per
+        # setting, where every estimate has rank 1 or 2
         import aaqpt.tomography as tomo
 
         real_pseudo = tomo._pseudo
@@ -753,10 +779,9 @@ class TestStackedExperiment:
             expected = extract(bipartite(rho_in, 2, 2), bipartite(rho_out, 2, 2), mode="pseudo")
             assert np.array_equal(m[b], expected.m.matrix)
         for d in report.batch_details:
-            if d.status == "ok":
-                b = 0 if exact else d.batch
-                assert np.array_equal(d.rho_in.matrix, realign_matrix(r_in[b], 2, 2))
-                assert np.array_equal(d.rho_out.matrix, realign_matrix(r_out[b], 2, 2))
+            b = 0 if exact else d.batch
+            assert np.array_equal(d.rho_in.matrix, realign_matrix(r_in[b], 2, 2))
+            assert np.array_equal(d.rho_out.matrix, realign_matrix(r_out[b], 2, 2))
 
     def test_counts_are_the_per_batch_draws(self, monkeypatch):
         import aaqpt.tomography as tomo
@@ -776,7 +801,8 @@ class TestStackedExperiment:
                   for c in (input_circuit, full_circuit)]
         expected = []
         for b in range(4):
-            rng = np.random.Generator(np.random.PCG64(9 + b))
+            # the b-th of the streams SeedSequence(9) spawns
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9, spawn_key=(b,))))
             expected += [rng.multinomial(320, t) for t in tables]
         assert len(drawn) == len(expected)
         assert all(np.array_equal(a, e) for a, e in zip(drawn, expected))
@@ -798,15 +824,8 @@ def test_stacked_kernels_match_per_matrix_calls(batch, seed):
     rng = np.random.default_rng(seed)
     # shifted so that some matrices have no positive eigenvalue
     raw = random_hermitian_stack(rng, batch, 4) - rng.uniform(0, 3) * np.eye(4)
-    projected, failures = _project(raw)
-    for m, rho, failure in zip(raw, projected, failures):
-        try:
-            expected = project_to_state(m)
-        except NotPhysicalError as exc:
-            assert str(failure) == str(exc)
-        else:
-            assert failure is None
-            assert np.abs(rho - expected.matrix).max() <= 1e-12
+    for m, rho in zip(raw, _project(raw)):
+        assert np.abs(rho - project_to_state(m).matrix).max() <= 1e-12
     rhos, sigmas = random_state_stack(rng, batch, 4), random_state_stack(rng, batch, 4)
     stacked = _fidelity(_root(rhos), sigmas)
     for f, rho, sigma in zip(stacked, rhos, sigmas):

@@ -24,9 +24,7 @@ from .errors import (
     AaqptError,
     DimensionMismatchError,
     MixedDimensionsError,
-    NotHermitianError,
     NotPhysicalError,
-    NotPositiveError,
     NotSquareError,
     NotTracePreservingError,
 )
@@ -39,10 +37,11 @@ from .qstate import (
     require_square,
     tensor,
     validate_density,
+    _check_hermitian,
+    _check_positive,
     _check_tol,
     _frozen,
     _items,
-    _min_eigenvalues,
     _numbers,
     _partial_trace_keep,
 )
@@ -136,10 +135,8 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     """Validate a raw matrix as a Choi matrix: Hermitian, PSD, trace d,
     and with identity marginal on the input factor (trace preservation).
 
-    Positivity is decided as in :func:`qstate.validate_density`: the
-    symmetrized matrix ``h`` passes when its smallest eigenvalue is at least
-    ``-tol``, at once when the Cholesky factorization of ``h + tol*I``
-    exists, else by its eigenvalues.  ``tol`` must be a finite number >= 0,
+    The checks run in that order, the first two being those of
+    :func:`qstate.validate_density`.  ``tol`` must be a finite number >= 0,
     else ParameterOutOfRangeError.
     """
     tol = _check_tol(tol)
@@ -148,12 +145,7 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise DimensionMismatchError(f"Choi matrix side {d2} is not a perfect square")
-    herm_dev = float(np.abs(c - c.conj().T).max())
-    if herm_dev > tol:
-        raise NotHermitianError(herm_dev)
-    min_eig = _min_eigenvalues((c + c.conj().T) / 2, tol)
-    if min_eig is not None and min_eig < -tol:
-        raise NotPositiveError(float(min_eig))
+    _check_positive(c, _check_hermitian(c, tol), tol)
     if abs(np.trace(c) - d) > tol:
         raise NotTracePreservingError(float(abs(np.trace(c) - d)))
     marginal = _partial_trace_keep(c, (d, d), (1,))
@@ -164,10 +156,8 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
 
 
 def choi_state(ch: KrausChannel) -> ChoiMatrix:
-    """Choi matrix of a channel (unnormalized convention, trace d)."""
-    # (K (x) I)|phi> is the row vectorization of K
-    vecs = [k.reshape(-1) for k in ch.kraus]
-    return make_choi(sum(np.outer(v, v.conj()) for v in vecs))
+    """Choi matrix of a channel (unnormalized, trace d): its reshuffled superoperator."""
+    return make_choi(superop_to_choi(superoperator(ch)))
 
 
 def apply_via_choi(choi: ChoiMatrix, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -208,7 +198,7 @@ def vectorize(sigma) -> np.ndarray:
     """Row-major vectorization: element ``j*d + i`` is ``sigma[j, i]``."""
     a = as_matrix(sigma)
     require_square(a)
-    return a.reshape(-1).copy()
+    return a.reshape(-1)
 
 
 def devectorize(vector) -> np.ndarray:
@@ -218,7 +208,7 @@ def devectorize(vector) -> np.ndarray:
     d = int(round(np.sqrt(v.size)))
     if d * d != v.size or not d:
         raise NotSquareError(f"vector of length {v.size} does not devectorize to a square matrix")
-    return v.reshape(d, d).copy()
+    return v.reshape(d, d)
 
 
 def propagate(m: Superoperator, sigma) -> np.ndarray:

@@ -5,11 +5,11 @@ If ``rho_out = (channel (x) id)(rho_in)``, the realigned matrices satisfy
 so M follows from a linear solve whenever ``realign(rho_in)`` has a right
 inverse, i.e. whenever the input is faithful.  One routine, :func:`_solve`,
 runs it for :func:`extract`, at the rank of ``realignment.is_faithful``, and
-for the experiment's :func:`_pseudo`, at its batches' ranks by the same
-rule, so each batch's M is that of ``extract`` in pseudo mode, bit for bit.
-It solves in real arithmetic, in the Hermitian basis of
-``realignment._correlations`` where both realignments are real matrices
-with the same singular values, and takes M back with
+for the experiment, at its batches' ranks by the same rule, so each batch's
+M is that of ``extract`` in pseudo mode, bit for bit.  It solves in real
+arithmetic, on the pairs' ``realignment._correlations`` (the realignments
+in a Hermitian basis, real matrices with the same singular values), and
+takes M back with
 ``realignment._natural``: M and the residual are those of the Hermitian
 parts of the two states, and M maps Hermitian operators to Hermitian ones
 bit for bit.  A square input of full rank is solved by LU, any other
@@ -127,22 +127,18 @@ def _right_solve(c_in: np.ndarray, c_out: np.ndarray, ranks: np.ndarray) -> np.n
     return ((c_out[0] @ (vt[:rank].T / s[:rank])) @ u[:, :rank].T)[None]
 
 
-def _solve(r_in: np.ndarray, r_out: np.ndarray, ranks: np.ndarray | None = None):
-    """``(M, residual)`` of ``r_out = M @ r_in`` for stacks (B, dA^2, dB^2) of
-    realigned pairs, solved as the module docstring says; the residual
-    ``c_out - M_r @ c_in`` stays real.  Without ``ranks``, the rank rule at
-    the default threshold sets them from one stacked SVD of the real inputs."""
-    d_a, d_b = math.isqrt(r_in.shape[-2]), math.isqrt(r_in.shape[-1])
-    c_in, c_out = (_correlations(r, d_a, d_b) for r in (r_in, r_out))
+def _solve(c_in: np.ndarray, c_out: np.ndarray, ranks: np.ndarray | None = None):
+    """``(M, residual)`` of ``realign(out) = M @ realign(in)`` from stacks
+    (B, dA^2, dB^2) of the pairs' real correlation matrices, solved as the
+    module docstring says; the residual ``c_out - M_r @ c_in`` stays real.
+    Without ``ranks``, the rank rule at the default threshold sets them from
+    one stacked SVD of ``c_in``, as pseudo-mode :func:`extract` would."""
+    rows = c_in.shape[-2]
     if ranks is None:
-        ranks, _ = _ranks(_svd(c_in, compute_uv=False), d_a * d_a)
+        ranks, _ = _ranks(_svd(c_in, compute_uv=False), rows)
     m = _right_solve(c_in, c_out, ranks)
+    d_a = math.isqrt(rows)
     return _natural(m, d_a, d_a), c_out - m @ c_in
-
-
-def _pseudo(r_in: np.ndarray, r_out: np.ndarray) -> np.ndarray:
-    """The experiment's extraction: each pair's M of pseudo-mode :func:`extract`."""
-    return _solve(r_in, r_out)[0]
 
 
 def extract(
@@ -172,7 +168,7 @@ def extract(
     if mode == "strict" and not verdict.faithful:
         raise NotFaithfulError(verdict.kernel_dimension)
     d, d_b = input_state.dim_a, input_state.dim_b
-    pairs = _realigned(input_state)[None], _realigned(output_state)[None]
+    pairs = (_correlations(_realigned(s)[None], d, d_b) for s in (input_state, output_state))
     (m,), (residual,) = _solve(*pairs, np.array([rank]))
     # M maps Hermitian operators to Hermitian ones bit for bit, so its
     # reshuffled Choi matrix is exactly Hermitian
@@ -196,10 +192,10 @@ def reachable_report(
     basis holds the Hermitian A factors of ``operator_schmidt`` past that
     rank, whose singular values vanish: exactly the operator directions on
     which two channels may differ while producing the same output on this
-    state.  No B factor is built.
+    state.
     """
     verdict = is_faithful(input_state, threshold)
-    basis, _ = _schmidt_factors(input_state, slice(verdict.spectrum.rank, None), with_b=False)
+    basis, _ = _schmidt_factors(input_state, slice(verdict.spectrum.rank, None))
     return ReachableReport(
         spectrum=verdict.spectrum,
         kernel_dimension=verdict.kernel_dimension,

@@ -153,34 +153,44 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _min_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray | None:
-    """The positivity test of every density and Choi check, on a stack
-    (..., d, d) of Hermitian matrices: None when no matrix has an eigenvalue
-    below ``-tol``, else each matrix's smallest eigenvalue, for the caller
-    to compare with ``-tol``.
+def _check_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
+    """The Hermiticity check of every density and Choi check: ``a^dag``,
+    once no entry of ``a - a^dag`` exceeds ``tol`` in modulus, else
+    NotHermitianError (a deviation beyond the float range reads inf)."""
+    adjoint = _dagger(a)
+    with np.errstate(over="ignore"):
+        herm_dev = float(np.abs(a - adjoint).max())
+    if herm_dev > tol:
+        raise NotHermitianError(herm_dev)
+    return adjoint
 
-    One Cholesky factorization of ``h + tol*I`` passes the whole stack: it
-    exists exactly when every eigenvalue exceeds ``-tol``.  The eigenvalues
-    are computed only when it does not, so the verdict can differ from
-    theirs only for a smallest eigenvalue within round-off of ``-tol``.
-    """
+
+def _check_positive(a: np.ndarray, adjoint: np.ndarray, tol: float) -> None:
+    """The positivity check of every density and Choi check: NotPositiveError
+    when ``h = (a + a^dag)/2`` has an eigenvalue below ``-tol``.  One
+    Cholesky factorization of ``h + tol*I`` passes h at once: it exists
+    exactly when every eigenvalue exceeds ``-tol``.  The eigenvalues are
+    computed only when it does not, so the verdict can differ from theirs
+    only for a smallest eigenvalue within round-off of ``-tol``."""
+    h = (a + adjoint) / 2
     try:
-        np.linalg.cholesky(h + tol * np.eye(h.shape[-1]))
-        return None
+        np.linalg.cholesky(h + tol * np.eye(len(h)))
     except np.linalg.LinAlgError:
         # eigenvalues come sorted ascending, so the first is the smallest
-        return np.linalg.eigvalsh(h)[..., 0]
+        min_eig = float(np.linalg.eigvalsh(h)[0])
+        if min_eig < -tol:
+            raise NotPositiveError(min_eig) from None
 
 
 def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap ``m``.
 
-    The Hermiticity check runs on the raw entries; the positivity check runs
-    on the symmetrized matrix ``h = (m + m^dag)/2`` so that round-off in the
-    skew part cannot masquerade as negativity.  ``h`` passes when its
-    smallest eigenvalue is at least ``-tol``: it passes at once when the
-    Cholesky factorization of ``h + tol*I`` exists, and otherwise its
-    eigenvalues decide.  The stored entries are the originals.
+    The first check that fails raises.  Hermiticity is checked on the raw
+    entries, then the trace (one beyond the float range fails), then
+    positivity on the symmetrized matrix ``h = (m + m^dag)/2``, so that
+    round-off in the skew part cannot masquerade as negativity: ``h`` passes
+    at once when the Cholesky factorization of ``h + tol*I`` exists, and
+    otherwise its eigenvalues decide.  The stored entries are the originals.
 
     ``tol`` must be a finite number >= 0, else ParameterOutOfRangeError.
     Raises :class:`NotSquareError`, :class:`NotHermitianError`,
@@ -189,16 +199,12 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     tol = _check_tol(tol)
     a = as_matrix(m)
     dim = require_square(a)
-    adjoint = _dagger(a)
-    herm_dev = float(np.abs(a - adjoint).max())
-    if herm_dev > tol:
-        raise NotHermitianError(herm_dev)
-    tr = complex(np.trace(a))
+    adjoint = _check_hermitian(a, tol)
+    with np.errstate(over="ignore"):
+        tr = complex(np.trace(a))
     if abs(tr - 1.0) > tol:
         raise NotUnitTraceError(tr)
-    min_eig = _min_eigenvalues((a + adjoint) / 2, tol)
-    if min_eig is not None and min_eig < -tol:
-        raise NotPositiveError(float(min_eig))
+    _check_positive(a, adjoint, tol)
     return DensityMatrix(dim=dim, matrix=_frozen(a))
 
 
@@ -282,7 +288,7 @@ def partial_transpose_matrix(m, dim_a: int, dim_b: int, subsystem: str) -> np.nd
     t = _bipartite_matrix(m, dim_a, dim_b).reshape(dim_a, dim_b, dim_a, dim_b)
     _check_subsystem(subsystem)
     out = t.transpose(0, 3, 2, 1) if subsystem == "B" else t.transpose(2, 1, 0, 3)
-    return out.reshape(dim_a * dim_b, dim_a * dim_b).copy()
+    return out.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
 def partial_transpose(s: BipartiteState, subsystem: str) -> np.ndarray:

@@ -145,7 +145,7 @@ def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
 
     Accepts unnormalized input; the result has shape dA^2 x dB^2.
     """
-    return _reshuffle(_bipartite_matrix(m, dim_a, dim_b), dim_a, dim_b).copy()
+    return _reshuffle(_bipartite_matrix(m, dim_a, dim_b), dim_a, dim_b)
 
 
 def _reshuffle(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -255,18 +255,16 @@ def swap_operator(d: int) -> np.ndarray:
     return e
 
 
-def _schmidt_factors(s: BipartiteState, keep: slice, with_b: bool = True):
+def _schmidt_factors(s: BipartiteState, keep: slice):
     """From one full SVD ``W diag(c) V^T`` of the state's correlation matrix:
-    the A factors ``U_A w`` of the columns of W in ``keep`` and, if ``with_b``
-    (else None), the B factors ``v^T U_B^dag`` of those rows of V^T, as stacks
-    (k, d, d).  :func:`_natural` maps each with the other dimension 1
-    (``U_1 = I``), so every factor is Hermitian bit for bit."""
+    the A factors ``U_A w`` of the columns of W in ``keep`` and the B factors
+    ``v^T U_B^dag`` of those rows of V^T, as stacks (k, d, d).
+    :func:`_natural` maps each with the other dimension 1 (``U_1 = I``), so
+    every factor is Hermitian bit for bit."""
     d_a, d_b = s.dim_a, s.dim_b
     w, _, vt = _svd(_correlations(_realigned(s), d_a, d_b))
-    ops_a = _frozen(_natural(w[:, keep].T[:, :, None], d_a, 1).reshape(-1, d_a, d_a))
-    if not with_b:
-        return ops_a, None
-    return ops_a, _frozen(_natural(vt[keep, None, :], 1, d_b).reshape(-1, d_b, d_b))
+    ops_a = _natural(w[:, keep].T[:, :, None], d_a, 1).reshape(-1, d_a, d_a)
+    return _frozen(ops_a), _frozen(_natural(vt[keep, None, :], 1, d_b).reshape(-1, d_b, d_b))
 
 
 def operator_schmidt(s: BipartiteState) -> OperatorSchmidtDecomposition:

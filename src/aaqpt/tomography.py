@@ -23,15 +23,18 @@ at different seeds share no draw.
 
 Tomography replaces each linear-inversion estimate by its nearest state in
 Frobenius norm, the eigenvalue-simplex projection of Smolin, Gambetta and
-Smith (PRL 108, 070502, 2012), which exists for every Hermitian matrix.
+Smith (PRL 108, 070502, 2012), which exists for every Hermitian matrix.  The
+outcome projectors and the inversion tensor come from one signed sum of
+Pauli products (``_pauli_table``), so every projector is exact.
 
 An experiment draws its counts batch by batch and then runs everything else
 once, on stacks that hold every batch.  Its extraction is
-``extraction._pseudo``: each batch's M is that of :func:`extract` in pseudo
-mode on the batch's two states, bit for bit, from the one real solve both
-run.  The per-matrix entry points (:func:`linear_inversion`,
-:func:`project_to_state`) are the same kernels on a stack of one, with the
-boundary checks of a public function around them.  What no argument
+``extraction._solve`` on the correlation matrices of the stacked pairs:
+each batch's M is that of :func:`extract` in pseudo mode on the batch's two
+states, bit for bit, from the one real solve both run.  The per-matrix
+entry points (:func:`linear_inversion`, :func:`project_to_state`) are the
+same kernels on a stack of one, with the boundary checks of a public
+function around them.  What no argument
 changes (the scoring constants, the two circuits and each gate's unitary)
 is built once per process, on first use, and kept read-only.
 """
@@ -53,7 +56,7 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 # extract stays importable from this module
-from .extraction import _pseudo, extract  # noqa: F401
+from .extraction import _solve, extract  # noqa: F401
 from .qstate import (
     DensityMatrix,
     _dagger,
@@ -68,7 +71,7 @@ from .qstate import (
     require_square,
     validate_density,
 )
-from .realignment import _reshuffle
+from .realignment import _correlations, _reshuffle
 
 RNG_NAME = "pcg64"
 
@@ -82,34 +85,28 @@ _GATES = {
     "CNOT": np.eye(4)[[0, 1, 3, 2]],
 }
 
-# +1 / -1 eigenvectors of each Pauli, in outcome order.
-_PAULI_EIGENVECTORS = {
-    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2),
-          np.array([1, -1], dtype=complex) / np.sqrt(2)),
-    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
-          np.array([1, -1j], dtype=complex) / np.sqrt(2)),
-    "Z": (np.array([1, 0], dtype=complex),
-          np.array([0, 1], dtype=complex)),
-}
 
-# Projector onto each joint outcome (++, +-, -+, --) of each setting, shape
-# (9, 4, 4, 4); a state's Born table is trace(P @ rho) over the last two axes.
-_OUTCOME_PROJECTORS = np.array([
-    [np.outer(v, v.conj())
-     for v in (np.kron(v0, v1) for v0 in _PAULI_EIGENVECTORS[b0] for v1 in _PAULI_EIGENVECTORS[b1])]
-    for b0, b1 in BASIS_SETTINGS
-])
+def _pauli_table(a: int, b: int) -> np.ndarray:
+    """``(I/a + s0 s1 P0 P1 + (s0 P0 I + s1 I P1)/b) / 4`` for each setting
+    (P0, P1) of ``BASIS_SETTINGS`` and each joint outcome (s0, s1) in the
+    order (++, +-, -+, --): shape (9, 4, 4, 4)."""
+    return np.array([
+        [(np.eye(4) / a + s0 * s1 * np.kron(PAULIS[b0], PAULIS[b1])
+          + (s0 * np.kron(PAULIS[b0], PAULI_I) + s1 * np.kron(PAULI_I, PAULIS[b1])) / b) / 4
+         for s0 in (1, -1) for s1 in (1, -1)]
+        for b0, b1 in BASIS_SETTINGS
+    ])
 
-# Linear inversion as one tensor, shape (9, 4, 4, 4): rho = sum over settings
-# and outcomes of frequency * entry.  The correlator <P_a P_b> reads only its
-# own setting, <P_a I> and <I P_b> average the three settings that measure
-# them, and I/9 summed over the nine normalized rows restores the identity.
-_INVERSION = np.array([
-    [(np.eye(4) / 9 + s0 * s1 * np.kron(PAULIS[b0], PAULIS[b1])
-      + (s0 * np.kron(PAULIS[b0], PAULI_I) + s1 * np.kron(PAULI_I, PAULIS[b1])) / 3) / 4
-     for s0 in (1, -1) for s1 in (1, -1)]
-    for b0, b1 in BASIS_SETTINGS
-])
+
+# Projector onto each joint outcome of each setting, exact in every entry; a
+# state's Born table is trace(P @ rho) over the last two axes.
+_OUTCOME_PROJECTORS = _pauli_table(1, 1)
+
+# Linear inversion as one tensor: rho = sum over settings and outcomes of
+# frequency * entry.  The correlator <P_a P_b> reads only its own setting,
+# <P_a I> and <I P_b> average the three settings that measure them, and I/9
+# summed over the nine normalized rows restores the identity.
+_INVERSION = _pauli_table(9, 3)
 
 
 @dataclass(frozen=True)
@@ -367,12 +364,12 @@ def project_to_state(matrix: np.ndarray) -> DensityMatrix:
     """The state nearest to ``matrix`` in Frobenius norm: its Hermitian
     part with the eigenvalues moved onto the probability simplex (Smolin,
     Gambetta and Smith, PRL 108, 070502, 2012).  ``matrix`` is a square
-    matrix of finite numbers, projected in its own dtype (real input stays
-    real); the result is checked by :func:`validate_density`, so one whose
-    eigenvalues overflow raises a typed AaqptError."""
+    matrix of finite numbers, projected in double precision (real input
+    stays real); the result is checked by :func:`validate_density`, so one
+    whose eigenvalues overflow raises a typed AaqptError."""
     a = _numbers(matrix, None, two_d=True)
     require_square(a)
-    return validate_density(_project(a))
+    return validate_density(_project(a.astype(np.result_type(a, float), copy=False)))
 
 
 def _invert(counts: np.ndarray) -> np.ndarray:
@@ -390,7 +387,8 @@ def linear_inversion(counts: np.ndarray) -> DensityMatrix:
     marginalize every compatible setting and average the three of them, so
     all collected data is used.  The raw inversion is then replaced by the
     nearest state (:func:`project_to_state`).  Counts that are not finite
-    and nonnegative, or that leave a row empty, raise MissingBasisError.
+    and nonnegative, that leave a row empty or whose row sum overflows raise
+    MissingBasisError.
     """
     try:
         c = np.asarray(counts, dtype=float)
@@ -398,8 +396,10 @@ def linear_inversion(counts: np.ndarray) -> DensityMatrix:
         raise MissingBasisError(f"counts are not a numeric table: {exc}") from None
     if c.shape != (9, 4):
         raise MissingBasisError(f"need a (9, 4) table of counts, got shape {c.shape}")
-    if not ((np.isfinite(c) & (c >= 0)).all() and (c.sum(axis=-1) > 0).all()):
-        raise MissingBasisError("counts must be finite and nonnegative, with no empty row")
+    with np.errstate(over="ignore"):
+        totals = c.sum(axis=-1)
+    if not ((np.isfinite(c) & (c >= 0)).all() and ((totals > 0) & (totals < np.inf)).all()):
+        raise MissingBasisError("counts must be finite and >= 0, each row's sum finite and > 0")
     return validate_density(_invert(c))
 
 
@@ -500,8 +500,10 @@ def run_experiment(
     counts = np.swapaxes(counts, 0, 1)  # (register, batch, 9, 4)
 
     rho = _invert(counts)
-    # extraction in pseudo mode, as extract(..., mode="pseudo") does it
-    predicted = _predict(_pseudo(*_reshuffle(rho, 2, 2)), probe_vectors)
+    # extraction in pseudo mode, as extract(..., mode="pseudo") does it, from
+    # one correlation stack (register, batch, 4, 4) of the realigned states
+    m, _ = _solve(*_correlations(_reshuffle(rho, 2, 2), 2, 2))
+    predicted = _predict(m, probe_vectors)
 
     # one row per score (input, output, then each probe), one column per batch
     scores = np.concatenate([_fidelity(target_roots[:, None], rho),

@@ -21,6 +21,7 @@ from aaqpt.channel import (
 from aaqpt.errors import (
     DimensionMismatchError,
     MixedDimensionsError,
+    NotHermitianError,
     NotPhysicalError,
     NotPositiveError,
     NotTracePreservingError,
@@ -342,6 +343,22 @@ class TestSuperopToChoi:
 
 
 class TestChoiPositivity:
+    def test_checks_run_in_order(self):
+        # Hermitian, then positive, then trace d, then the input marginal:
+        # each matrix fails its own check and every later one
+        skew = np.zeros((4, 4))
+        skew[0, 1] = 1e-3
+        cases = [
+            (np.diag([3.0, -1.0, 0.0, 1.0]) + skew, NotHermitianError, 1e-3),
+            (np.diag([3.0, -1.0, 0.0, 1.0]), NotPositiveError, -1.0),
+            (np.diag([4.0, 0.0, 0.0, 0.0]), NotTracePreservingError, 2.0),  # marginal: 3
+            (np.diag([2.0, 0.0, 0.0, 0.0]), NotTracePreservingError, 1.0),
+        ]
+        for c, error, value in cases:
+            with pytest.raises(error) as excinfo:
+                make_choi(c)
+            assert list(vars(excinfo.value).values()) == [value]
+
     def test_min_eigenvalue_is_eigvalsh_bit_for_bit(self):
         # Hermitian, trace 2 and trace preserving, but not positive
         c = choi_state(bitflip_channel()).matrix + 0.1 * (

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from aaqpt import extraction, realignment
+from aaqpt import extraction, realignment, tomography
 from aaqpt.catalog import PAULI_X, horodecki, max_entangled, probe_states, sigma_e
 from aaqpt.channel import apply, apply_extended, make_channel, propagate, superoperator
 from aaqpt.errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
@@ -307,13 +307,18 @@ class TestSpectralCore:
             assert len(kernels) == 2
             assert all(call.args[0].dtype == np.float64 for call in kernels)
             assert result.m.matrix.dtype == complex
-        # the experiment solves through the same real pipeline, stacked
+        # the experiment solves through the same real pipeline, stacked,
+        # from one correlation stack of its input and output registers
         for shots, batches, seed in ((10240, 10, 7), (8, 8, 5)):
             with mock.patch.object(extraction, "_svd", wraps=extraction._svd) as values, \
                     mock.patch.object(realignment, "_svd", wraps=realignment._svd) as direct, \
-                    mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+                    mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
+                    mock.patch.object(tomography, "_correlations",
+                                      wraps=tomography._correlations) as correlations:
                 run_experiment(shots, batches, seed)
             assert values.call_count == 1 and solve.call_count == 1 and direct.call_count == 0
+            [call] = correlations.call_args_list
+            assert call.args[0].shape == (2, batches, 4, 4)
             for call in values.call_args_list + solve.call_args_list:
                 assert call.args[0].dtype == np.float64 and call.args[0].shape[0] == batches
         # the operator Schmidt decomposition and the kernel basis come from

@@ -23,8 +23,11 @@ from aaqpt.channel import (
 from aaqpt.errors import (
     AaqptError,
     DimensionMismatchError,
+    MissingBasisError,
     MixedDimensionsError,
+    NotHermitianError,
     NotSquareError,
+    NotUnitTraceError,
     ParameterOutOfRangeError,
 )
 from aaqpt.extraction import extract, kernel_witness_pair, reachable_report
@@ -49,6 +52,7 @@ from aaqpt.tomography import (
     Circuit,
     Gate,
     NoiseModel,
+    linear_inversion,
     project_to_state,
     run_exact,
     run_experiment,
@@ -105,6 +109,11 @@ ESCAPES = [
     (lambda: tensor([[np.nan]], np.eye(2)), AaqptError),
     (lambda: tensor([[1e42]], [[1e267]]), AaqptError),
     (lambda: serialize.matrix_to_json("ab"), AaqptError),
+    # sums and differences beyond the float range
+    (lambda: linear_inversion(np.full((9, 4), 1e308)), MissingBasisError),
+    (lambda: validate_density(np.diag([1e308, 1e308])), NotUnitTraceError),
+    (lambda: validate_density([[1e308, 0], [0, -1e308]]), NotUnitTraceError),
+    (lambda: validate_density([[0, 1e308], [-1e308, 0]]), NotHermitianError),
 ]
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aaqpt.catalog import horodecki, max_entangled, sigma_e
-from aaqpt.channel import apply_extended, superoperator
+from aaqpt.channel import apply_extended, devectorize, superoperator, vectorize
 from aaqpt.errors import ParameterOutOfRangeError, UnequalDimensionsError
 from aaqpt.extraction import extract
 from aaqpt.qstate import (
@@ -334,6 +334,26 @@ class TestFreshRealignment:
             np.testing.assert_array_equal(r, oracle_realign(s.matrix, da, db))
             r[...] = 0.0
         assert np.array_equal(realign(s), oracle_realign(s.matrix, da, db))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (2, 1), (1, 3), (1, 1)])
+    def test_other_reshapes_are_fresh_and_writable(self, dims):
+        # the input rules copy the input once, so each result owns its
+        # entries even where the reshape that makes it is a view
+        da, db = dims
+        m = random_bipartite(da, db, np.random.default_rng(da * 10 + db)).matrix
+        results = [
+            partial_transpose_matrix(m, da, db, "A"),
+            partial_transpose_matrix(m, da, db, "B"),
+            vectorize(m),
+            devectorize(m.reshape(-1)),
+        ]
+        if da == db:
+            results.append(realign_check_matrix(m, da))
+        for r in results:
+            assert r.flags.writeable
+            assert not np.shares_memory(r, m)
+        assert np.array_equal(results[2], m.reshape(-1))
+        assert np.array_equal(results[3], m)
 
 
 @pytest.mark.parametrize("threshold", [-1.0, -1e-300, float("nan"), float("inf")])

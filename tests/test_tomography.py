@@ -18,7 +18,7 @@ from aaqpt.errors import (
 )
 from aaqpt.extraction import extract
 from aaqpt.qstate import _fidelity, _root, bipartite, fidelity, tensor, validate_density
-from aaqpt.realignment import realign_matrix
+from aaqpt.realignment import _correlations, realign_matrix
 from aaqpt.serialize import report_to_json
 from aaqpt.tomography import (
     BASIS_SETTINGS,
@@ -323,6 +323,19 @@ class TestSamplePauliCounts:
         assert np.array_equal(one, [rows.multinomial(1024, p) for p in table])
 
 
+class TestOutcomeProjectors:
+    def test_each_setting_resolves_the_identity_exactly(self):
+        for projectors in tomo._OUTCOME_PROJECTORS:
+            assert np.array_equal(projectors.sum(axis=0), np.eye(4))
+
+    def test_each_projector_is_the_product_of_its_eigenprojectors(self):
+        signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        for (b0, b1), projectors in zip(BASIS_SETTINGS, tomo._OUTCOME_PROJECTORS):
+            for (s0, s1), p in zip(signs, projectors):
+                local = [(np.eye(2) + s * PAULIS[b]) / 2 for s, b in ((s0, b0), (s1, b1))]
+                assert np.array_equal(p, np.kron(*local))
+
+
 def reference_inversion(counts):
     # the per-setting Pauli-expectation estimator written out term by term
     freqs = {s: np.asarray(c, dtype=float) / np.sum(c) for s, c in zip(BASIS_SETTINGS, counts)}
@@ -402,6 +415,17 @@ class TestProjectToState:
     def test_non_square_or_empty_rejected(self, bad):
         with pytest.raises(NotSquareError):
             project_to_state(bad)
+
+    def test_single_precision_projects_as_double(self):
+        # the projection runs in double precision, so its result passes the
+        # validation tolerance
+        rng = np.random.default_rng(84)
+        for _ in range(20):
+            real = rng.normal(size=(4, 4))
+            complex_ = real + 1j * rng.normal(size=(4, 4))
+            for m in (real.astype(np.float32), complex_.astype(np.complex64)):
+                double = m.astype(np.result_type(m, float))
+                assert np.array_equal(project_to_state(m).matrix, project_to_state(double).matrix)
 
     def test_fixes_nothing_on_valid_states(self):
         rng = np.random.default_rng(83)
@@ -529,16 +553,17 @@ class TestRunExperiment:
     def test_exact_batches_computed_once(self, monkeypatch):
         import aaqpt.tomography as tomo
 
-        real_pseudo = tomo._pseudo
+        real_solve = tomo._solve
         calls = []
 
-        def counting_pseudo(*args, **kwargs):
-            calls.append(1)
-            return real_pseudo(*args, **kwargs)
+        def recording_solve(c_in, c_out, *args):
+            calls.append((c_in.shape, c_out.shape))
+            return real_solve(c_in, c_out, *args)
 
-        monkeypatch.setattr(tomo, "_pseudo", counting_pseudo)
+        monkeypatch.setattr(tomo, "_solve", recording_solve)
         report = tomo.run_experiment(shots=0, batches=5, seed=3, exact=True)
-        assert len(calls) == 1
+        # one solve, on a stack of one batch
+        assert calls == [((1, 4, 4), (1, 4, 4))]
         single = tomo.run_experiment(shots=0, batches=1, seed=3, exact=True)
         assert [d.batch for d in report.batch_details] == [0, 1, 2, 3, 4]
         assert report.fidelity_in.mean == pytest.approx(single.fidelity_in.mean, rel=0, abs=1e-15)
@@ -595,10 +620,10 @@ class TestRunExperiment:
 
     def test_svd_failure_raises_from_run_experiment(self, monkeypatch, capsys):
         # an error on the stacks fails the whole run, and the CLI exits 2
-        def failing_pseudo(r_in, r_out):
+        def failing_solve(c_in, c_out, *args):
             raise SvdFailureError("injected failure")
 
-        monkeypatch.setattr(tomo, "_pseudo", failing_pseudo)
+        monkeypatch.setattr(tomo, "_solve", failing_solve)
         with pytest.raises(SvdFailureError, match="injected failure"):
             tomo.run_experiment(shots=1280, batches=4, seed=16)
         assert main(["experiment", "--shots", "1280", "--batches", "4", "--seed", "16"]) == 2
@@ -762,26 +787,25 @@ class TestStackedExperiment:
         # setting, where every estimate has rank 1 or 2
         import aaqpt.tomography as tomo
 
-        real_pseudo = tomo._pseudo
+        real_solve = tomo._solve
         calls = []
 
-        def recording_pseudo(r_in, r_out):
-            calls.append((r_in, r_out, real_pseudo(r_in, r_out)))
-            return calls[-1][-1]
+        def recording_solve(c_in, c_out, *args):
+            result = real_solve(c_in, c_out, *args)
+            calls.append((c_in, c_out, result[0]))
+            return result
 
-        monkeypatch.setattr(tomo, "_pseudo", recording_pseudo)
+        monkeypatch.setattr(tomo, "_solve", recording_solve)
         report = tomo.run_experiment(shots, batches, seed, noise, exact=exact)
-        [(r_in, r_out, m)] = calls
+        [(c_in, c_out, m)] = calls
         assert len(m) == (1 if exact else batches)
-        for b, pair in enumerate(zip(r_in, r_out)):
-            # the reshuffle undoes itself when dA == dB
-            rho_in, rho_out = (realign_matrix(r, 2, 2) for r in pair)
-            expected = extract(bipartite(rho_in, 2, 2), bipartite(rho_out, 2, 2), mode="pseudo")
-            assert np.array_equal(m[b], expected.m.matrix)
         for d in report.batch_details:
             b = 0 if exact else d.batch
-            assert np.array_equal(d.rho_in.matrix, realign_matrix(r_in[b], 2, 2))
-            assert np.array_equal(d.rho_out.matrix, realign_matrix(r_out[b], 2, 2))
+            # the stacks solved are the reported states' correlation matrices
+            for c, rho in ((c_in, d.rho_in), (c_out, d.rho_out)):
+                assert np.array_equal(c[b], _correlations(realign_matrix(rho.matrix, 2, 2), 2, 2))
+            states = (bipartite(rho.matrix, 2, 2) for rho in (d.rho_in, d.rho_out))
+            assert np.array_equal(m[b], extract(*states, mode="pseudo").m.matrix)
 
     def test_counts_are_the_per_batch_draws(self, monkeypatch):
         import aaqpt.tomography as tomo

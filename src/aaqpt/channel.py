@@ -41,6 +41,7 @@ from .qstate import (
     _check_positive,
     _check_tol,
     _frozen,
+    _hermitian,
     _items,
     _numbers,
     _partial_trace_keep,
@@ -101,9 +102,11 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> KrausChannel:
     if len(dims) > 1:
         raise MixedDimensionsError(f"Kraus operators mix dimensions {sorted(dims)}")
     d = dims.pop()
-    completeness = sum(op.conj().T @ op for op in ops)
-    deviation = float(np.abs(completeness - np.eye(d)).max())
-    if deviation > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        completeness = sum(op.conj().T @ op for op in ops)
+        deviation = float(np.abs(completeness - np.eye(d)).max())
+    # a product beyond the float range deviates by inf, or NaN from inf - inf
+    if not deviation <= tol:
         raise NotTracePreservingError(deviation)
     return KrausChannel(dim=d, kraus=tuple(_frozen(op) for op in ops))
 
@@ -146,12 +149,13 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     if d * d != d2:
         raise DimensionMismatchError(f"Choi matrix side {d2} is not a perfect square")
     _check_positive(c, _check_hermitian(c, tol), tol)
-    if abs(np.trace(c) - d) > tol:
-        raise NotTracePreservingError(float(abs(np.trace(c) - d)))
-    marginal = _partial_trace_keep(c, (d, d), (1,))
-    tp_dev = float(np.abs(marginal - np.eye(d)).max())
-    if tp_dev > tol:
-        raise NotTracePreservingError(tp_dev)
+    # a trace or marginal beyond the float range deviates by inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_dev = float(abs(complex(np.trace(c)) - d))
+        tp_dev = float(np.abs(_partial_trace_keep(c, (d, d), (1,)) - np.eye(d)).max())
+    for deviation in (tr_dev, tp_dev):
+        if not deviation <= tol:
+            raise NotTracePreservingError(deviation)
     return ChoiMatrix(dim=d, matrix=_frozen(c))
 
 
@@ -178,7 +182,7 @@ def kraus_from_choi(matrix, tol: float = DEFAULT_TOL) -> KrausChannel:
     """
     choi = make_choi(matrix, tol=tol)
     d = choi.dim
-    w, v = np.linalg.eigh((choi.matrix + choi.matrix.conj().T) / 2)
+    w, v = np.linalg.eigh(_hermitian(choi.matrix))
     cutoff = max(w.max(), 0.0) * 1e-14 + 1e-15
     kraus = [
         np.sqrt(w[i]) * v[:, i].reshape(d, d)

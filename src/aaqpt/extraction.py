@@ -7,7 +7,7 @@ inverse, i.e. whenever the input is faithful.  One routine, :func:`_solve`,
 runs it for :func:`extract`, at the rank of ``realignment.is_faithful``, and
 for the experiment, at its batches' ranks by the same rule, so each batch's
 M is that of ``extract`` in pseudo mode, bit for bit.  It solves in real
-arithmetic, on the pairs' ``realignment._correlations`` (the realignments
+arithmetic, on the pairs' ``realignment._correlation`` (the realignments
 in a Hermitian basis, real matrices with the same singular values), and
 takes M back with
 ``realignment._natural``: M and the residual are those of the Hermitian
@@ -48,10 +48,9 @@ from .qstate import BipartiteState, trace_distance, _frozen, _real
 from .realignment import (
     SingularSpectrum,
     is_faithful,
-    _correlations,
+    _correlation,
     _natural,
     _ranks,
-    _realigned,
     _reshuffle,
     _schmidt_factors,
     _svd,
@@ -168,7 +167,7 @@ def extract(
     if mode == "strict" and not verdict.faithful:
         raise NotFaithfulError(verdict.kernel_dimension)
     d, d_b = input_state.dim_a, input_state.dim_b
-    pairs = (_correlations(_realigned(s)[None], d, d_b) for s in (input_state, output_state))
+    pairs = (_correlation(s)[None] for s in (input_state, output_state))
     (m,), (residual,) = _solve(*pairs, np.array([rank]))
     # M maps Hermitian operators to Hermitian ones bit for bit, so its
     # reshuffled Choi matrix is exactly Hermitian

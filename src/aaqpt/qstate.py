@@ -130,18 +130,17 @@ class DensityMatrix:
 class BipartiteState:
     """A density matrix on A tensor B together with the factor dimensions.
 
-    The singular values of the state's realignment are computed once per
-    state: the first faithfulness test, CCNR sum or extraction that needs
-    them stores them here (read-only, ``dim_a**2`` doubles at most), and
-    every later rank decision about the same object reuses them.
+    The state's real correlation matrix (its realignment in a Hermitian
+    basis, ``dim_a**2 x dim_b**2`` doubles) and its singular values are
+    computed once per state: the first test, extraction or decomposition
+    that needs them stores them here, read-only, for every later use.
     """
 
     dim_a: int
     dim_b: int
     state: DensityMatrix
-    _realignment_values: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _correlation: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _realignment_values: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -151,6 +150,18 @@ class BipartiteState:
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack (..., m, n)."""
     return a.conj().swapaxes(-1, -2)
+
+
+def _hermitian(a: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
+    """The Hermitian part ``(a + a^dag)/2`` of each matrix of a stack, which
+    every Hermitian eigensolver reads: the sum halved in place (the values
+    of the quotient by 2, a zero's sign aside, in half its time), or the
+    halves where the sum overflows, so exactly Hermitian and finite."""
+    adjoint = _dagger(a) if adjoint is None else adjoint
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = a + adjoint
+        h *= 0.5
+    return h if np.isfinite(h).all() else a * 0.5 + adjoint * 0.5
 
 
 def _check_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
@@ -167,12 +178,12 @@ def _check_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
 
 def _check_positive(a: np.ndarray, adjoint: np.ndarray, tol: float) -> None:
     """The positivity check of every density and Choi check: NotPositiveError
-    when ``h = (a + a^dag)/2`` has an eigenvalue below ``-tol``.  One
+    when the Hermitian part h of ``a`` has an eigenvalue below ``-tol``.  One
     Cholesky factorization of ``h + tol*I`` passes h at once: it exists
     exactly when every eigenvalue exceeds ``-tol``.  The eigenvalues are
     computed only when it does not, so the verdict can differ from theirs
     only for a smallest eigenvalue within round-off of ``-tol``."""
-    h = (a + adjoint) / 2
+    h = _hermitian(a, adjoint)
     try:
         np.linalg.cholesky(h + tol * np.eye(len(h)))
     except np.linalg.LinAlgError:
@@ -187,7 +198,7 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
     The first check that fails raises.  Hermiticity is checked on the raw
     entries, then the trace (one beyond the float range fails), then
-    positivity on the symmetrized matrix ``h = (m + m^dag)/2``, so that
+    positivity on the Hermitian part ``h`` of ``m`` (:func:`_hermitian`), so that
     round-off in the skew part cannot masquerade as negativity: ``h`` passes
     at once when the Cholesky factorization of ``h + tol*I`` exists, and
     otherwise its eigenvalues decide.  The stored entries are the originals.
@@ -309,8 +320,8 @@ def _drop_round_off(w: np.ndarray) -> np.ndarray:
 
 
 def _root(rho: np.ndarray) -> np.ndarray:
-    """Principal square root of each state of a stack (..., d, d)."""
-    w, v = np.linalg.eigh(rho)
+    """Principal square root of each state's Hermitian part, for a stack (..., d, d)."""
+    w, v = np.linalg.eigh(_hermitian(rho))
     return (v * np.sqrt(_drop_round_off(w))[..., None, :]) @ _dagger(v)
 
 
@@ -318,15 +329,14 @@ def _fidelity(root: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Root fidelities from ``_root(rho)`` and ``sigma``, both stacks that
     broadcast against each other."""
     inner = root @ sigma @ root
-    w = np.linalg.eigvalsh((inner + _dagger(inner)) / 2)
+    w = np.linalg.eigvalsh(_hermitian(inner))
     return np.sqrt(_drop_round_off(w)).sum(axis=-1)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)).
-
-    Equals 1 iff the states coincide and |<psi|phi>| for pure states.
-    Symmetric in its arguments to ~1e-10 despite the asymmetric formula.
+    """Root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), sqrt(rho) being
+    that of rho's Hermitian part.  Equals 1 iff the states coincide and
+    |<psi|phi>| for pure states; symmetric in its arguments to ~1e-10.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dimensions differ: {rho.dim} vs {sigma.dim}")
@@ -339,9 +349,15 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def trace_distance(a, b) -> float:
-    """Half the trace norm of the difference of two Hermitian matrices."""
+    """Half the trace norm of the Hermitian part of ``a - b``; a difference
+    or a norm beyond the float range raises AaqptError."""
     a, b = as_matrix(a), as_matrix(b)
     if require_square(a) != require_square(b):
         raise DimensionMismatchError(f"dimensions differ: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(0.5 * np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
+    with np.errstate(over="ignore"):
+        diff = a - b
+        finite = np.isfinite(diff).all()
+        norm = np.abs(np.linalg.eigvalsh(_hermitian(diff))).sum() if finite else np.inf
+    if not np.isfinite(norm):
+        raise AaqptError("trace distance beyond the float range")
+    return float(0.5 * norm)

@@ -40,6 +40,7 @@ from .qstate import (
     _bipartite_matrix,
     _check_tol,
     _frozen,
+    _hermitian,
     _integer_in,
 )
 
@@ -103,11 +104,15 @@ def default_threshold(max_singular_value, rows: int):
 
 
 def _svd(m: np.ndarray, **options):
-    """``np.linalg.svd(m, **options)``, raising SvdFailureError on failure."""
+    """``np.linalg.svd(m, **options)``, raising SvdFailureError when it fails
+    or a singular value lies beyond the float range."""
     try:
-        return np.linalg.svd(m, **options)
+        out = np.linalg.svd(m, **options)
     except np.linalg.LinAlgError as exc:
         raise SvdFailureError(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(out[1] if isinstance(out, tuple) else out).all():
+        raise SvdFailureError("singular values beyond the float range")
+    return out
 
 
 def _ranks(values: np.ndarray, rows: int, threshold: float | None = None):
@@ -154,13 +159,6 @@ def _reshuffle(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     lead = m.shape[:-2]
     t = m.reshape(lead + (dim_a, dim_b, dim_a, dim_b))
     return t.swapaxes(-3, -2).reshape(lead + (dim_a * dim_a, dim_b * dim_b))
-
-
-def _realigned(s: BipartiteState) -> np.ndarray:
-    # the state's matrix is validated, finite and square already, so it is
-    # reshuffled as it is: one copy, made by the reshape, which may instead
-    # be a read-only view of the matrix when a factor has dimension 1
-    return _reshuffle(s.matrix, s.dim_a, s.dim_b)
 
 
 def realign(s: BipartiteState) -> np.ndarray:
@@ -212,15 +210,21 @@ def _natural(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return out.reshape(lead + (dim_a * dim_a, dim_b * dim_b))
 
 
+def _correlation(s: BipartiteState) -> np.ndarray:
+    # the state is immutable, so its correlation matrix is built once, for
+    # every SVD and solve about it, and stored on it.  Being once per state,
+    # it keeps the public realign and its copies
+    if s._correlation is None:
+        c = _frozen(_correlations(realign(s), s.dim_a, s.dim_b))
+        object.__setattr__(s, "_correlation", c)
+    return s._correlation
+
+
 def _realignment_values(s: BipartiteState) -> np.ndarray:
-    # the state is immutable, so the values-only SVD of its realignment is
-    # run once and stored on it; every rank decision about the state then
-    # scales its threshold by the same s_max, bit for bit.  The SVD runs in
-    # real arithmetic on the correlation matrix, which has the same values.
-    # Being once per state, it keeps the public realign and its copies
+    # so are its singular values: every rank decision about the state
+    # scales its threshold by the same s_max, bit for bit
     if s._realignment_values is None:
-        r = _correlations(realign(s), s.dim_a, s.dim_b)
-        values = _frozen(_svd(r, compute_uv=False))
+        values = _frozen(_svd(_correlation(s), compute_uv=False))
         object.__setattr__(s, "_realignment_values", values)
     return s._realignment_values
 
@@ -262,7 +266,7 @@ def _schmidt_factors(s: BipartiteState, keep: slice):
     :func:`_natural` maps each with the other dimension 1 (``U_1 = I``), so
     every factor is Hermitian bit for bit."""
     d_a, d_b = s.dim_a, s.dim_b
-    w, _, vt = _svd(_correlations(_realigned(s), d_a, d_b))
+    w, _, vt = _svd(_correlation(s))
     ops_a = _natural(w[:, keep].T[:, :, None], d_a, 1).reshape(-1, d_a, d_a)
     return _frozen(ops_a), _frozen(_natural(vt[keep, None, :], 1, d_b).reshape(-1, d_b, d_b))
 
@@ -307,5 +311,4 @@ def ppt_min_eigenvalue(s: BipartiteState) -> float:
     Negative certifies entanglement; nonnegative states (PPT) may still be
     bound entangled.
     """
-    pt = partial_transpose(s, "B")
-    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
+    return float(np.linalg.eigvalsh(_hermitian(partial_transpose(s, "B"))).min())

@@ -62,6 +62,7 @@ from .qstate import (
     _dagger,
     _fidelity,
     _frozen,
+    _hermitian,
     _integer_in,
     _items,
     _numbers,
@@ -348,12 +349,11 @@ def _project(raw: np.ndarray) -> np.ndarray:
     the eigenvalues in descending order, the shift is ``(cumsum_k - 1) / k``
     at the largest support k whose k-th eigenvalue exceeds it, which is the
     largest of these values over every k; taking that maximum needs no
-    support count, so nothing divides by zero.  The Hermitian part is taken
-    in halves, so that a finite input reaches ``eigh`` finite; eigenvalues
-    beyond the float range give a non-finite result, for the caller's
-    validation to reject.
+    support count, so nothing divides by zero.  Eigenvalues beyond the
+    float range give a non-finite result, for the caller's validation to
+    reject.
     """
-    w, v = np.linalg.eigh(raw / 2 + _dagger(raw) / 2)
+    w, v = np.linalg.eigh(_hermitian(raw))
     with np.errstate(over="ignore", invalid="ignore"):
         shifts = (np.cumsum(w[..., ::-1], axis=-1) - 1.0) / np.arange(1, w.shape[-1] + 1)
         w = np.maximum(w - shifts.max(axis=-1, keepdims=True), 0.0)

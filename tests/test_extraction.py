@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -294,6 +295,22 @@ class TestSpectralCore:
         assert svd.call_count == 1
         assert result.input_spectrum.values is verdict.spectrum.values
         assert total == verdict.spectrum.sum
+
+    def test_correlation_matrix_built_once_per_state(self):
+        # every reader of a fresh pair's correlation matrices shares the two
+        # that the states store, in whichever module imports the builder
+        rng = np.random.default_rng(87)
+        s = faithful_random_state(3, rng)
+        out = apply_extended(random_channel(3, 2, rng), s)
+        holders = [m for m in (realignment, extraction, tomography) if hasattr(m, "_correlations")]
+        with contextlib.ExitStack() as stack:
+            builds = [stack.enter_context(mock.patch.object(m, "_correlations", wraps=m._correlations))
+                      for m in holders]
+            is_faithful(s)
+            extract(s, out)
+            reachable_report(s)
+            operator_schmidt(s)
+        assert sum(build.call_count for build in builds) == 2
 
     def test_spectrum_and_solve_run_in_real_arithmetic(self):
         rng = np.random.default_rng(86)

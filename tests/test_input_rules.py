@@ -26,7 +26,9 @@ from aaqpt.errors import (
     MissingBasisError,
     MixedDimensionsError,
     NotHermitianError,
+    NotPositiveError,
     NotSquareError,
+    NotTracePreservingError,
     NotUnitTraceError,
     ParameterOutOfRangeError,
 )
@@ -114,6 +116,15 @@ ESCAPES = [
     (lambda: validate_density(np.diag([1e308, 1e308])), NotUnitTraceError),
     (lambda: validate_density([[1e308, 0], [0, -1e308]]), NotUnitTraceError),
     (lambda: validate_density([[0, 1e308], [-1e308, 0]]), NotHermitianError),
+    (lambda: validate_density(np.diag([1e308, -1e308, 1.0])), NotPositiveError),
+    (lambda: make_choi(np.diag([1e308, -1e308, 1, 1])), NotPositiveError),
+    (lambda: make_choi(np.diag([1e308] * 4)), NotTracePreservingError),
+    (lambda: kraus_from_choi(np.diag([1e308] * 4)), NotTracePreservingError),
+    (lambda: make_channel([np.full((2, 2), 1e200)]), NotTracePreservingError),
+    (lambda: trace_distance(np.diag([1e308, 0]), np.diag([-1e308, 0])), AaqptError),
+    (lambda: trace_distance([[1e308, 1e308], [1e308, 1e308]], np.zeros((2, 2))), AaqptError),
+    # singular values beyond the float range
+    (lambda: singular_spectrum(np.full((3, 3), 1e308)), AaqptError),
 ]
 
 

@@ -1,8 +1,10 @@
 """Property tests for extraction, the Kraus action on A, the realignment
 spectrum and the real Hermitian basis both run in, the operator Schmidt
-decomposition, CCNR soundness and the nearest-state projection of
-tomography, over hypothesis-drawn dimensions, states and channels."""
+decomposition, CCNR soundness, the Hermitian part every eigensolver reads
+and the nearest-state projection of tomography, over hypothesis-drawn
+dimensions, states, channels and matrices."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ from aaqpt import extraction
 from aaqpt.catalog import horodecki, sigma_e
 from aaqpt.channel import apply_extended, superop_to_choi
 from aaqpt.extraction import extract, reachable_report
-from aaqpt.qstate import DEFAULT_TOL, bipartite, validate_density
+from aaqpt.qstate import DEFAULT_TOL, _dagger, _hermitian, bipartite, validate_density
 from aaqpt.realignment import (
     _correlations,
     _natural,
@@ -268,6 +270,28 @@ def simplex_by_bisection(h: np.ndarray) -> np.ndarray:
         theta = (low + high) / 2
         low, high = (theta, high) if np.maximum(w - theta, 0.0).sum() > 1.0 else (low, theta)
     return (v * np.maximum(w - (low + high) / 2, 0.0)) @ v.conj().T
+
+
+@st.composite
+def finite_stacks(draw):
+    """Real or complex stacks (..., d, d), d <= 4, of finite entries of any
+    size, those near the float limit included."""
+    shape = draw(st.sampled_from([(), (1,), (3,)])) + (draw(st.integers(1, 4)),) * 2
+    parts = draw(st.sampled_from([1, 2]))
+    values = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=parts * math.prod(shape), max_size=parts * math.prod(shape))
+    x = np.array(draw(values), dtype=float).reshape((parts,) + shape)
+    return x[0] if parts == 1 else x[0] + 1j * x[1]
+
+
+@given(a=finite_stacks())
+def test_hermitian_part_is_exact_and_finite(a):
+    h = _hermitian(a)
+    assert h.shape == a.shape and np.isfinite(h).all()
+    assert np.array_equal(h, _dagger(h))
+    if np.abs(a.view(float)).max() <= 1e307:
+        # the values of (a + a^dag)/2 exactly; a zero may differ in sign
+        assert np.array_equal(h, (a + _dagger(a)) / 2)
 
 
 @given(d=st.sampled_from([2, 4]), batch=st.integers(1, 5), seed=seeds)

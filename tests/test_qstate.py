@@ -16,6 +16,7 @@ from aaqpt.errors import (
 )
 from aaqpt.qstate import (
     DEFAULT_TOL,
+    _hermitian,
     _partial_trace_keep,
     bipartite,
     fidelity,
@@ -481,6 +482,19 @@ class TestFidelity:
         sigma = validate_density(np.eye(3) / 3)
         with pytest.raises(DimensionMismatchError):
             fidelity(rho, sigma)
+
+    def test_reads_both_triangles(self):
+        # the square root of rho is that of its Hermitian part, so an upper
+        # triangle perturbed within tol counts, where an eigensolver reading
+        # one triangle would ignore it
+        rng = np.random.default_rng(16)
+        for d in (2, 3, 4):
+            m = random_density_matrix(d, rng)
+            m[np.triu_indices(d, 1)] += 1e-10 * (1 + 1j)
+            rho = validate_density(m)
+            sigma = validate_density(random_density_matrix(d, rng))
+            hermitian = validate_density(_hermitian(rho.matrix))
+            assert fidelity(rho, sigma) == fidelity(hermitian, sigma)
 
 
 class TestPurity:

@@ -153,9 +153,9 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         tr_dev = float(abs(complex(np.trace(c)) - d))
         tp_dev = float(np.abs(_partial_trace_keep(c, (d, d), (1,)) - np.eye(d)).max())
-    for deviation in (tr_dev, tp_dev):
+    for deviation, measured in ((tr_dev, "|tr C - d|"), (tp_dev, "max|Tr_out C - I|")):
         if not deviation <= tol:
-            raise NotTracePreservingError(deviation)
+            raise NotTracePreservingError(deviation, "Choi matrix", measured)
     return ChoiMatrix(dim=d, matrix=_frozen(c))
 
 

@@ -50,11 +50,14 @@ class SvdFailureError(AaqptError):
 
 
 class NotTracePreservingError(AaqptError):
-    """Kraus completeness check failed; carries max|sum K^dag K - I|."""
+    """A trace-preservation check failed; carries the deviation it measured,
+    which the message names: max|sum K^dag K - I| for a Kraus set (the
+    default), |tr C - d| or max|Tr_out C - I| for a Choi matrix."""
 
-    def __init__(self, deviation: float):
+    def __init__(self, deviation: float, subject: str = "Kraus set",
+                 measured: str = "max|sum K^dag K - I|"):
         self.deviation = float(deviation)
-        super().__init__(f"Kraus set is not trace preserving: max|sum K^dag K - I| = {deviation:.3e}")
+        super().__init__(f"{subject} is not trace preserving: {measured} = {deviation:.3e}")
 
 
 class MixedDimensionsError(AaqptError):

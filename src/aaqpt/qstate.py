@@ -319,10 +319,15 @@ def _drop_round_off(w: np.ndarray) -> np.ndarray:
     return np.where(w > w.shape[-1] * np.finfo(float).eps, w, 0.0)
 
 
+def _eigen_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v sqrt(w) v^dag`` for each eigenpair stack (..., d) and (..., d, d)
+    of a state, its round-off eigenvalues taken as zero."""
+    return (v * np.sqrt(_drop_round_off(w))[..., None, :]) @ _dagger(v)
+
+
 def _root(rho: np.ndarray) -> np.ndarray:
     """Principal square root of each state's Hermitian part, for a stack (..., d, d)."""
-    w, v = np.linalg.eigh(_hermitian(rho))
-    return (v * np.sqrt(_drop_round_off(w))[..., None, :]) @ _dagger(v)
+    return _eigen_root(*np.linalg.eigh(_hermitian(rho)))
 
 
 def _fidelity(root: np.ndarray, sigma: np.ndarray) -> np.ndarray:

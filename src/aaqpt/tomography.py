@@ -35,8 +35,9 @@ states, bit for bit, from the one real solve both run.  The per-matrix
 entry points (:func:`linear_inversion`, :func:`project_to_state`) are the
 same kernels on a stack of one, with the boundary checks of a public
 function around them.  What no argument
-changes (the scoring constants, the two circuits and each gate's unitary)
-is built once per process, on first use, and kept read-only.
+changes (the scoring constants, the two circuits, each gate's unitary and
+each noise plan) is built once per process, on first use, and kept
+read-only.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .extraction import _solve, extract  # noqa: F401
 from .qstate import (
     DensityMatrix,
     _dagger,
+    _eigen_root,
     _fidelity,
     _frozen,
     _hermitian,
@@ -91,12 +93,19 @@ def _pauli_table(a: int, b: int) -> np.ndarray:
     """``(I/a + s0 s1 P0 P1 + (s0 P0 I + s1 I P1)/b) / 4`` for each setting
     (P0, P1) of ``BASIS_SETTINGS`` and each joint outcome (s0, s1) in the
     order (++, +-, -+, --): shape (9, 4, 4, 4)."""
-    return np.array([
-        [(np.eye(4) / a + s0 * s1 * np.kron(PAULIS[b0], PAULIS[b1])
-          + (s0 * np.kron(PAULIS[b0], PAULI_I) + s1 * np.kron(PAULI_I, PAULIS[b1])) / b) / 4
-         for s0 in (1, -1) for s1 in (1, -1)]
-        for b0, b1 in BASIS_SETTINGS
-    ])
+    # (9, 1, 2, 2) stacks of each setting's P0 and P1, (4, 1, 1) of each
+    # outcome's s0 and s1
+    p0 = np.array([PAULIS[b0] for b0, _ in BASIS_SETTINGS])[:, None]
+    p1 = np.array([PAULIS[b1] for _, b1 in BASIS_SETTINGS])[:, None]
+    s0, s1 = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])[..., None, None]
+
+    def kron(x, y):
+        # np.kron's product of every pair of entries, over stacks of 2 x 2
+        product = x[..., :, None, :, None] * y[..., None, :, None, :]
+        return product.reshape(product.shape[:-4] + (4, 4))
+
+    return (np.eye(4) / a + s0 * s1 * kron(p0, p1)
+            + (s0 * kron(p0, PAULI_I) + s1 * kron(PAULI_I, p1)) / b) / 4
 
 
 # Projector onto each joint outcome of each setting, exact in every entry; a
@@ -268,11 +277,19 @@ def _gate_unitary(gate: Gate, n: int) -> np.ndarray:
     return _frozen(_outer(((_GATES[gate.kind], gate.qubits), (np.eye(2 ** len(rest)), rest)), n))
 
 
+@functools.cache
+def _noise_plan(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """What depolarizing ``qubits`` of an n-qubit register takes besides the
+    state and the strength: the other qubits, and I/2^k on the k qubits.
+    Built once per (qubits, n) and shared read-only."""
+    rest = tuple(q for q in range(n) if q not in qubits)
+    return rest, _frozen(np.eye(2 ** len(qubits)) / 2 ** len(qubits))
+
+
 def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], lam: float, n: int) -> np.ndarray:
     if lam == 0.0:
         return rho
-    rest = tuple(q for q in range(n) if q not in qubits)
-    mixed = np.eye(2 ** len(qubits)) / 2 ** len(qubits)
+    rest, mixed = _noise_plan(qubits, n)
     # with no qubit left, the trace: np.trace adds the diagonal in order,
     # an einsum over every axis in another order, with other last bits
     sigma = _partial_trace_keep(rho, (2,) * n, rest) if rest else np.trace(rho)
@@ -284,8 +301,11 @@ def _evolve(rho: np.ndarray, gates: tuple[Gate, ...], noise: NoiseModel, n: int)
     exactly; after each gate the touched qubits are depolarized per the
     noise model (1-qubit strength for H and I, 2-qubit strength for CNOT)."""
     for gate in gates:
-        u = _gate_unitary(gate, n)
-        rho = u @ rho @ u.conj().T
+        # an identity gate's product would give back rho's values (a zero's
+        # sign aside), so only its noise acts
+        if gate.kind != "I":
+            u = _gate_unitary(gate, n)
+            rho = u @ rho @ u.conj().T
         lam = noise.depolarizing_2q if gate.kind == "CNOT" else noise.depolarizing_1q
         rho = _depolarize(rho, gate.qubits, lam, n)
     return rho
@@ -339,25 +359,37 @@ def exact_pauli_probabilities(rho: DensityMatrix) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _project(raw: np.ndarray) -> np.ndarray:
-    """Stacked kernel of :func:`project_to_state` on (..., d, d) matrices:
-    each Hermitian part's Frobenius-nearest state (Smolin, Gambetta and
-    Smith, PRL 108, 070502, 2012), from one stacked ``eigh``.
+def _nearest_eigen(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigen-step of :func:`_project`: the eigenvalues of the nearest
+    states, on the probability simplex, and their eigenvectors, from one
+    stacked ``eigh`` of the Hermitian parts of the (..., d, d) ``raw``.
 
     The eigenvectors stay and the eigenvalues move to the nearest point of
     the probability simplex: each drops by one shift and clips at 0.  With
     the eigenvalues in descending order, the shift is ``(cumsum_k - 1) / k``
     at the largest support k whose k-th eigenvalue exceeds it, which is the
     largest of these values over every k; taking that maximum needs no
-    support count, so nothing divides by zero.  Eigenvalues beyond the
-    float range give a non-finite result, for the caller's validation to
-    reject.
+    support count, so nothing divides by zero.
     """
     w, v = np.linalg.eigh(_hermitian(raw))
     with np.errstate(over="ignore", invalid="ignore"):
         shifts = (np.cumsum(w[..., ::-1], axis=-1) - 1.0) / np.arange(1, w.shape[-1] + 1)
-        w = np.maximum(w - shifts.max(axis=-1, keepdims=True), 0.0)
+        return np.maximum(w - shifts.max(axis=-1, keepdims=True), 0.0), v
+
+
+def _eigen_state(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v w v^dag`` for each eigenpair stack of :func:`_nearest_eigen`.
+    Eigenvalues beyond the float range give a non-finite result, for the
+    caller's validation to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return (v * w[..., None, :]) @ _dagger(v)
+
+
+def _project(raw: np.ndarray) -> np.ndarray:
+    """Stacked kernel of :func:`project_to_state` on (..., d, d) matrices:
+    each Hermitian part's Frobenius-nearest state (Smolin, Gambetta and
+    Smith, PRL 108, 070502, 2012), from one stacked ``eigh``."""
+    return _eigen_state(*_nearest_eigen(raw))
 
 
 def project_to_state(matrix: np.ndarray) -> DensityMatrix:
@@ -408,19 +440,23 @@ def reference_channel_superoperator() -> Superoperator:
     return superoperator(make_channel([np.eye(2) / np.sqrt(2), PAULI_X / np.sqrt(2)]))
 
 
-def _tomograph(table: np.ndarray, shots: int, rng: np.random.Generator | None) -> np.ndarray:
-    """One batch's (9, 4) counts: a multinomial draw of ``shots`` per
-    setting, or the Born table itself when there is no generator."""
-    return table if rng is None else rng.multinomial(shots, table)
+def _tomograph(tables: np.ndarray, shots: int, rng: np.random.Generator | None) -> np.ndarray:
+    """One batch's (2, 9, 4) counts of the input and the output register
+    from their stacked (2, 9, 4) Born tables: one multinomial draw of
+    ``shots`` per setting, or the tables themselves when there is no
+    generator.  numpy draws the rows in C order, so the counts are those of
+    a draw on the input table followed by one on the output table."""
+    return tables if rng is None else rng.multinomial(shots, tables)
 
 
-def _predict(m: np.ndarray, probe_vectors: np.ndarray) -> np.ndarray:
+def _predict(m: np.ndarray, probe_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each probe's output under each superoperator of a stack (B, d^2, d^2),
-    propagated as :func:`channel.propagate` does and projected by
-    :func:`_project`: the (B, P, d, d) states, for P row-vectorized probes."""
+    propagated as :func:`channel.propagate` does and projected as
+    :func:`_project` does, for P row-vectorized probes: the eigenpairs
+    (B, P, d) and (B, P, d, d) of the projected states."""
     d = math.isqrt(probe_vectors.shape[-1])
     raw = np.einsum("bij,pj->bpi", m, probe_vectors)
-    return _project(raw.reshape(raw.shape[:2] + (d, d)))
+    return _nearest_eigen(raw.reshape(raw.shape[:2] + (d, d)))
 
 
 @functools.cache
@@ -432,7 +468,9 @@ def _scoring() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the life of the process."""
     targets = _register_states(NoiseModel())
     probe_vectors = np.array([p.matrix.reshape(-1) for p in probe_states(2)])
-    (reference_outputs,) = _predict(reference_channel_superoperator().matrix[None], probe_vectors)
+    (reference_outputs,) = _eigen_state(
+        *_predict(reference_channel_superoperator().matrix[None], probe_vectors)
+    )
     target_roots = _root(np.array([t.matrix for t in targets]))
     return _frozen(target_roots), _frozen(probe_vectors), _frozen(reference_outputs)
 
@@ -488,16 +526,15 @@ def run_experiment(
     shots_per_batch = shots // batches if not exact else 0
 
     target_roots, probe_vectors, reference_outputs = _scoring()
-    tables = [exact_pauli_probabilities(rho) for rho in _register_states(noise)]
+    # the input register's Born table, then the output register's
+    tables = np.array([exact_pauli_probabilities(rho) for rho in _register_states(noise)])
 
     # batch b draws from its own stream, spawned from the run's seed
-    streams = [None] if exact else np.random.SeedSequence(seed).spawn(batches)
-    counts = []
-    for stream in streams:
-        rng = None if exact else np.random.Generator(np.random.PCG64(stream))
-        # the input register's draw, then the output register's
-        counts.append([_tomograph(table, shots_per_batch, rng) for table in tables])
-    counts = np.swapaxes(counts, 0, 1)  # (register, batch, 9, 4)
+    rngs = [None] if exact else [
+        np.random.Generator(np.random.PCG64(stream))
+        for stream in np.random.SeedSequence(seed).spawn(batches)
+    ]
+    counts = np.swapaxes([_tomograph(tables, shots_per_batch, rng) for rng in rngs], 0, 1)
 
     rho = _invert(counts)
     # extraction in pseudo mode, as extract(..., mode="pseudo") does it, from
@@ -505,9 +542,10 @@ def run_experiment(
     m, _ = _solve(*_correlations(_reshuffle(rho, 2, 2), 2, 2))
     predicted = _predict(m, probe_vectors)
 
-    # one row per score (input, output, then each probe), one column per batch
+    # one row per score (input, output, then each probe), one column per
+    # batch; a predicted output's root comes from its projection's eigenpairs
     scores = np.concatenate([_fidelity(target_roots[:, None], rho),
-                             _fidelity(_root(predicted), reference_outputs).T])
+                             _fidelity(_eigen_root(*predicted), reference_outputs).T])
     # an exact run computes its one batch once and repeats it
     columns = [0] * batches if exact else list(range(batches))
     details = [

@@ -159,6 +159,25 @@ class TestChoi:
         with pytest.raises(NotTracePreservingError):
             make_choi(np.eye(4))  # trace 4 != 2
 
+    @pytest.mark.parametrize("c, message", [
+        # a qubit Choi matrix of twice the trace, and one beyond the float range
+        (np.eye(4), r"Choi matrix is not trace preserving: \|tr C - d\| = 2\.000e\+00"),
+        (np.diag([1e308] * 4), r"Choi matrix is not trace preserving: \|tr C - d\| = inf"),
+        # trace d, but the input marginal is diag(2, 0)
+        (np.diag([2.0, 0, 0, 0]),
+         r"Choi matrix is not trace preserving: max\|Tr_out C - I\| = 1\.000e\+00"),
+    ], ids=["trace", "trace-overflow", "marginal"])
+    def test_make_choi_names_the_check_that_failed(self, c, message):
+        with pytest.raises(NotTracePreservingError, match=f"^{message}$"):
+            make_choi(c)
+
+    def test_make_channel_message_unchanged(self):
+        with pytest.raises(NotTracePreservingError) as excinfo:
+            make_channel([0.9 * I2])
+        assert str(excinfo.value) == (
+            "Kraus set is not trace preserving: max|sum K^dag K - I| = 1.900e-01"
+        )
+
 
 class TestApplyViaChoi:
     def test_identity(self):

@@ -10,11 +10,15 @@ machines.
 The file changes only with a change that moves reports on purpose.  To
 rewrite it from the code on the path, run ``python tests/test_golden_reports.py``:
 it prints the largest absolute shift of each field against the file it
-replaces, for the change to state.
+replaces, for the change to state.  With ``--check`` it prints the same
+shifts against the committed file and writes nothing.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from aaqpt.serialize import report_to_json
@@ -107,6 +111,21 @@ def test_largest_shifts_per_field():
     }
 
 
+def test_check_prints_shifts_and_writes_nothing():
+    before = GOLDEN.read_bytes()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, __file__, "--check"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert GOLDEN.read_bytes() == before
+    # one line per field of the reports; test_reports_match_golden_file
+    # bounds the shifts themselves
+    fields = {}
+    for entry in json.loads(before):
+        largest_shifts(entry["report"], entry["report"], out=fields)
+    assert {line.split(": ")[0] for line in done.stdout.splitlines()} == set(fields)
+
+
 if __name__ == "__main__":
     entries = [{"run": run, "report": report(run)} for run in RUNS]
     if GOLDEN.exists():
@@ -117,4 +136,5 @@ if __name__ == "__main__":
                 largest_shifts(old[json.dumps(entry["run"])], entry["report"], out=shifts)
         for path, (shift, changed) in sorted(shifts.items()):
             print(f"{path}: {shift:.3g}" + (f", {changed} changed otherwise" if changed else ""))
-    GOLDEN.write_text(json.dumps(entries) + "\n")
+    if "--check" not in sys.argv[1:]:
+        GOLDEN.write_text(json.dumps(entries) + "\n")

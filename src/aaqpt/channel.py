@@ -40,8 +40,8 @@ from .qstate import (
     _check_hermitian,
     _check_positive,
     _check_tol,
+    _eigh,
     _frozen,
-    _hermitian,
     _items,
     _numbers,
     _partial_trace_keep,
@@ -148,7 +148,8 @@ def make_choi(matrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise DimensionMismatchError(f"Choi matrix side {d2} is not a perfect square")
-    _check_positive(c, _check_hermitian(c, tol), tol)
+    _check_hermitian(c, tol)
+    _check_positive(c, tol)
     # a trace or marginal beyond the float range deviates by inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         tr_dev = float(abs(complex(np.trace(c)) - d))
@@ -182,7 +183,7 @@ def kraus_from_choi(matrix, tol: float = DEFAULT_TOL) -> KrausChannel:
     """
     choi = make_choi(matrix, tol=tol)
     d = choi.dim
-    w, v = np.linalg.eigh(_hermitian(choi.matrix))
+    w, v = _eigh(choi.matrix)
     cutoff = max(w.max(), 0.0) * 1e-14 + 1e-15
     kraus = [
         np.sqrt(w[i]) * v[:, i].reshape(d, d)

@@ -44,7 +44,7 @@ from .channel import (
 )
 from .errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
 from .catalog import max_entangled, probe_states
-from .qstate import BipartiteState, trace_distance, _frozen, _real
+from .qstate import BipartiteState, trace_distance, _eigh, _frozen, _linear_solve, _real, _svd
 from .realignment import (
     SingularSpectrum,
     is_faithful,
@@ -53,7 +53,6 @@ from .realignment import (
     _ranks,
     _reshuffle,
     _schmidt_factors,
-    _svd,
 )
 
 
@@ -114,10 +113,9 @@ def _right_solve(c_in: np.ndarray, c_out: np.ndarray, ranks: np.ndarray) -> np.n
     threshold kept a round-off singular value)."""
     rows, cols = c_in.shape[-2:]
     if rows == cols and (ranks == rows).all():
-        try:
-            return np.linalg.solve(c_in.swapaxes(-1, -2), c_out.swapaxes(-1, -2)).swapaxes(-1, -2)
-        except np.linalg.LinAlgError:
-            pass
+        m = _linear_solve(c_in.swapaxes(-1, -2), c_out.swapaxes(-1, -2))
+        if m is not None:
+            return m.swapaxes(-1, -2)
     if len(c_in) > 1:
         pairs = zip(c_in[:, None], c_out[:, None], ranks[:, None])
         return np.concatenate([_right_solve(*pair) for pair in pairs])
@@ -169,15 +167,13 @@ def extract(
     d, d_b = input_state.dim_a, input_state.dim_b
     pairs = (_correlation(s)[None] for s in (input_state, output_state))
     (m,), (residual,) = _solve(*pairs, np.array([rank]))
-    # M maps Hermitian operators to Hermitian ones bit for bit, so its
-    # reshuffled Choi matrix is exactly Hermitian
     return ExtractionResult(
         m=Superoperator(dim=d, matrix=_frozen(m)),
         mode=mode,
         input_spectrum=spectrum,
         residual=float(np.abs(_natural(residual, d, d_b)).max()),
         truncated_count=spectrum.values.size - rank,
-        choi_eigenvalues=_frozen(np.linalg.eigvalsh(_reshuffle(m, d, d))),
+        choi_eigenvalues=_frozen(_eigh(_reshuffle(m, d, d), vectors=False)),
     )
 
 

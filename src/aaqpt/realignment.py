@@ -32,16 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterOutOfRangeError, SvdFailureError, UnequalDimensionsError
+from .errors import ParameterOutOfRangeError, UnequalDimensionsError
 from .qstate import (
     BipartiteState,
     as_matrix,
     partial_transpose,
     _bipartite_matrix,
     _check_tol,
+    _eigh,
     _frozen,
-    _hermitian,
     _integer_in,
+    _svd,
 )
 
 
@@ -101,18 +102,6 @@ def default_threshold(max_singular_value, rows: int):
     """
     tau = np.maximum(np.multiply(max_singular_value, rows) * 1e-12, 1e-12)
     return float(tau) if tau.ndim == 0 else tau
-
-
-def _svd(m: np.ndarray, **options):
-    """``np.linalg.svd(m, **options)``, raising SvdFailureError when it fails
-    or a singular value lies beyond the float range."""
-    try:
-        out = np.linalg.svd(m, **options)
-    except np.linalg.LinAlgError as exc:
-        raise SvdFailureError(f"SVD did not converge: {exc}") from exc
-    if not np.isfinite(out[1] if isinstance(out, tuple) else out).all():
-        raise SvdFailureError("singular values beyond the float range")
-    return out
 
 
 def _ranks(values: np.ndarray, rows: int, threshold: float | None = None):
@@ -311,4 +300,4 @@ def ppt_min_eigenvalue(s: BipartiteState) -> float:
     Negative certifies entanglement; nonnegative states (PPT) may still be
     bound entangled.
     """
-    return float(np.linalg.eigvalsh(_hermitian(partial_transpose(s, "B"))).min())
+    return float(_eigh(partial_transpose(s, "B"), vectors=False).min())

@@ -62,9 +62,9 @@ from .qstate import (
     DensityMatrix,
     _dagger,
     _eigen_root,
+    _eigh,
     _fidelity,
     _frozen,
-    _hermitian,
     _integer_in,
     _items,
     _numbers,
@@ -371,7 +371,7 @@ def _nearest_eigen(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     largest of these values over every k; taking that maximum needs no
     support count, so nothing divides by zero.
     """
-    w, v = np.linalg.eigh(_hermitian(raw))
+    w, v = _eigh(raw)
     with np.errstate(over="ignore", invalid="ignore"):
         shifts = (np.cumsum(w[..., ::-1], axis=-1) - 1.0) / np.arange(1, w.shape[-1] + 1)
         return np.maximum(w - shifts.max(axis=-1, keepdims=True), 0.0), v
@@ -502,7 +502,7 @@ def run_experiment(
     state (Smolin, Gambetta and Smith, PRL 108, 070502, 2012), which exists
     for any Hermitian matrix, so every batch scores: a batch whose map
     predicts nonsense scores a low fidelity rather than dropping out of the
-    means.  An error on the stacks (an SVD that does not converge) raises.
+    means.  An error on the stacks (a decomposition that fails) raises.
 
     The noiseless targets, the probes and the reference outputs are built
     by the first call in a process and reused by every later one; each

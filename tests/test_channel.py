@@ -350,6 +350,15 @@ class TestKrausFromChoi:
                 superoperator(ch).matrix - superoperator(rebuilt).matrix
             ).max() < 1e-10
 
+    def test_keeps_a_weak_kraus_operator(self):
+        # a Kraus weight of 1e-12 of the largest lies above the relative
+        # cutoff 1e-14 and is kept, so the channel comes back whole
+        weak = 1e-12
+        ch = make_channel([np.sqrt(1 - weak) * np.eye(2), np.sqrt(weak) * PAULI_Z])
+        rebuilt = kraus_from_choi(choi_state(ch).matrix)
+        assert len(rebuilt.kraus) == 2
+        assert np.abs(superoperator(rebuilt).matrix - superoperator(ch).matrix).max() < 1e-14
+
 
 class TestSuperopToChoi:
     def test_reshuffle_matches_choi_state(self):

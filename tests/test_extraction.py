@@ -53,6 +53,17 @@ class TestExtract:
         assert result.truncated_count == 0
         assert result.residual < 1e-12
 
+    def test_pseudo_truncated_count_at_larger_system(self):
+        # at dA > dB the realignment has dB^2 < dA^2 singular values: those
+        # the pseudo-inverse drops, not the missing rank dA^2 - rank
+        rng = np.random.default_rng(79)
+        product = bipartite(np.kron(random_bipartite(3, 1, rng).matrix,
+                                    random_bipartite(2, 1, rng).matrix), 3, 2)
+        for s, dropped in ((random_bipartite(3, 2, rng), 0), (product, 3)):
+            result = extract(s, s, mode="pseudo")
+            assert result.input_spectrum.values.size == 4
+            assert result.truncated_count == dropped
+
     def test_strict_rejects_rank_deficient_input(self):
         s = sigma_e(0.5)
         with pytest.raises(NotFaithfulError) as excinfo:

@@ -36,6 +36,7 @@ from aaqpt.extraction import extract, kernel_witness_pair, reachable_report
 from aaqpt.qstate import (
     as_matrix,
     bipartite,
+    fidelity,
     partial_trace,
     partial_trace_matrix,
     partial_transpose_matrix,
@@ -125,6 +126,10 @@ ESCAPES = [
     (lambda: trace_distance([[1e308, 1e308], [1e308, 1e308]], np.zeros((2, 2))), AaqptError),
     # singular values beyond the float range
     (lambda: singular_spectrum(np.full((3, 3), 1e308)), AaqptError),
+    # a Cholesky shift beyond the float range, once read as positive
+    (lambda: validate_density([[1.7e308, 1.7e308], [1.7e308, -1.6e308]], tol=1.7e308), AaqptError),
+    # a product of the roots beyond the float range, once read as fidelity 0
+    (lambda: fidelity(*[validate_density([[0.5, 1e200], [1e200, 0.5]], tol=1e300)] * 2), AaqptError),
 ]
 
 

@@ -477,6 +477,15 @@ class TestFidelity:
                 rho = validate_density(np.outer(v, v.conj()))
                 assert fidelity(rho, rho) <= 1 + 1e-12
 
+    def test_eigenvalue_just_above_round_off_counts(self):
+        # the round-off floor is dim * eps: an eigenvalue of twice that is
+        # data, and its root sets the fidelity with the state it overlaps
+        small = 2 * 2 * np.finfo(float).eps
+        rho = validate_density(np.diag([1 - small, small]))
+        sigma = validate_density(np.diag([0.0, 1.0]))
+        assert fidelity(rho, sigma) == pytest.approx(np.sqrt(small), rel=1e-12)
+        assert fidelity(sigma, rho) == pytest.approx(np.sqrt(small), rel=1e-12)
+
     def test_dimension_mismatch(self):
         rho = validate_density(np.eye(2) / 2)
         sigma = validate_density(np.eye(3) / 3)

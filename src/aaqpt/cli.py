@@ -24,7 +24,7 @@ from . import serialize
 from .catalog import PROBE_NAMES_QUBIT, horodecki, max_entangled, probe_states, sigma_e
 from .channel import predict_output
 from .errors import AaqptError, FileFormatError, NotFaithfulError
-from .extraction import extract, reachable_report
+from .extraction import extract
 from .qstate import DEFAULT_TOL, BipartiteState, purity, _check_tol
 from .realignment import ccnr_sum, is_faithful, ppt_min_eigenvalue
 from .tomography import NoiseModel, run_experiment
@@ -201,14 +201,14 @@ def cmd_bound_sweep(args) -> CommandResult:
     rows = []
     for a in grid:
         state = horodecki(a)
-        rep = reachable_report(state)
+        verdict = is_faithful(state)
         rows.append(
             {
                 "a": a,
-                "kernel_dimension": rep.kernel_dimension,
+                "kernel_dimension": verdict.kernel_dimension,
                 "ppt_min_eigenvalue": ppt_min_eigenvalue(state),
-                "ccnr_sum": rep.spectrum.sum,
-                "singular_values": rep.spectrum.values.tolist(),
+                "ccnr_sum": verdict.spectrum.sum,
+                "singular_values": verdict.spectrum.values.tolist(),
             }
         )
     keys = [k for k in rows[0] if k != "singular_values"]

@@ -187,10 +187,11 @@ def reachable_report(
     basis holds the Hermitian A factors of ``operator_schmidt`` past that
     rank, whose singular values vanish: exactly the operator directions on
     which two channels may differ while producing the same output on this
-    state.
+    state.  A faithful state's basis is empty, and takes no factor SVD.
     """
     verdict = is_faithful(input_state, threshold)
-    basis, _ = _schmidt_factors(input_state, slice(verdict.spectrum.rank, None))
+    kernel = slice(verdict.spectrum.rank, None)
+    basis = _schmidt_factors(input_state, kernel)[0] if verdict.kernel_dimension else ()
     return ReachableReport(
         spectrum=verdict.spectrum,
         kernel_dimension=verdict.kernel_dimension,

@@ -46,6 +46,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,8 +76,6 @@ from .qstate import (
     validate_density,
 )
 from .realignment import _correlations, _reshuffle
-
-RNG_NAME = "pcg64"
 
 BASIS_SETTINGS = tuple(itertools.product("XYZ", repeat=2))
 
@@ -194,7 +193,7 @@ class BatchDetail:
     ``PCG64(SeedSequence(seed).spawn(batches)[b])``, the same stream as
     ``SeedSequence(seed, spawn_key=(b,))``), or None when the run used exact
     Born probabilities and drew nothing.  Every batch scores, so ``status``
-    is always "ok"."""
+    is a class constant, "ok"."""
 
     batch: int
     seed: int | None
@@ -203,7 +202,7 @@ class BatchDetail:
     probe_fidelities: dict[str, float]
     rho_in: DensityMatrix
     rho_out: DensityMatrix
-    status: str = "ok"
+    status: ClassVar[str] = "ok"
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ class ExperimentReport:
     seed: int
     exact: bool
     noise: NoiseModel
-    rng_name: str
+    rng_name: ClassVar[str] = "pcg64"
     fidelity_in: MeanBand
     fidelity_out: MeanBand
     probe_fidelities: dict[str, MeanBand]
@@ -570,7 +569,6 @@ def run_experiment(
         seed=seed,
         exact=exact,
         noise=noise,
-        rng_name=RNG_NAME,
         fidelity_in=aggregates[0],
         fidelity_out=aggregates[1],
         probe_fidelities=dict(zip(PROBE_NAMES_QUBIT, aggregates[2:])),

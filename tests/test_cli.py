@@ -1,18 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aaqpt
-from aaqpt import serialize
+from aaqpt import extraction, realignment, serialize
 from aaqpt.catalog import PAULI_X, horodecki, max_entangled, sigma_e
 from aaqpt.channel import apply_extended, make_channel
 from aaqpt.cli import build_parser, main
-from aaqpt.qstate import tensor
+from aaqpt.extraction import extract
+from aaqpt.qstate import partial_trace, tensor
+from aaqpt.realignment import is_faithful, ppt_min_eigenvalue
 from aaqpt.sampling import random_bipartite
 from aaqpt.serialize import state_to_json
 
@@ -340,6 +346,31 @@ class TestBoundSweepCommand:
         code, _ = run(capsys, ["bound-sweep", "--a-grid", "0.5,1.5"])
         assert code == 2
 
+    def test_rows_are_the_verdict_without_factor_svd(self, capsys, monkeypatch):
+        # the sweep prints the spectrum and kernel dimension of is_faithful:
+        # no factor SVD and no SVD with vectors runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("bound-sweep took a factor SVD")
+
+        for module in (realignment, extraction):
+            monkeypatch.setattr(module, "_schmidt_factors", refuse)
+        svd = mock.Mock(wraps=realignment._svd)
+        monkeypatch.setattr(realignment, "_svd", svd)
+        grid = [0.125, 0.5, 0.875]
+        code, rows = run_json(capsys, ["bound-sweep", "--a-grid", ",".join(map(str, grid))])
+        assert code == 0
+        assert all(call.kwargs == {"compute_uv": False} for call in svd.call_args_list)
+        for a, row in zip(grid, rows, strict=True):
+            state = horodecki(a)
+            verdict = is_faithful(state)
+            assert row == {
+                "a": a,
+                "kernel_dimension": verdict.kernel_dimension,
+                "ppt_min_eigenvalue": ppt_min_eigenvalue(state),
+                "ccnr_sum": verdict.spectrum.sum,
+                "singular_values": verdict.spectrum.values.tolist(),
+            }
+
 
 class TestCatalogCommand:
     def test_listing(self, capsys):
@@ -434,3 +465,100 @@ class TestModuleEntryPoint:
         proc = self.run_module("faithful", "--catalog", "sigmaE", "--p", "0.5")
         assert proc.returncode == 3
         assert proc.stdout.startswith("faithful: no")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Input files for the CLI fuzz: valid documents of each kind, broken
+    ones, a missing path, and places ``--out`` can and cannot write."""
+    root = tmp_path_factory.mktemp("fuzz")
+    bell = max_entangled(2)
+    ch = make_channel([np.eye(2) / np.sqrt(2), PAULI_X / np.sqrt(2)])
+    out_state = apply_extended(ch, bell)
+    docs = {
+        "bell.json": state_to_json(bell),
+        "sigma.json": state_to_json(sigma_e(0.5)),
+        "flipped.json": state_to_json(out_state),
+        "qubit.json": state_to_json(random_bipartite(2, 3, 5)),
+        "extraction.json": serialize.extraction_to_json(extract(bell, out_state)),
+        "superop.json": serialize.superop_to_json(extract(bell, out_state).m),
+        "probe.json": serialize.density_to_json(partial_trace(out_state, "B")),
+        "qutrit-probe.json": serialize.density_to_json(partial_trace(sigma_e(0.5), "B")),
+    }
+    for name, doc in docs.items():
+        (root / name).write_text(json.dumps(doc))
+    (root / "garbage.json").write_text("{")
+    (root / "binary.json").write_bytes(b"\xff\xfe")
+    (root / "unnormalized.json").write_text(
+        json.dumps({"dims": [2, 2], "matrix": [[[2.0 if i == j else 0.0, 0.0]
+                                                for j in range(4)] for i in range(4)]}))
+    broken = ["garbage.json", "binary.json", "unnormalized.json", "missing.json"]
+    outs = [str(root / "out.json"), str(root), str(root / "no-such-dir" / "out.json")]
+    return [str(root / name) for name in docs], [str(root / name) for name in broken], outs
+
+
+def _numbers():
+    return st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(["abc", "", "1e-9", "0", "-0.0", "1e400", "0.5", "1"]),
+    )
+
+
+@st.composite
+def _argv(draw, inputs, broken, outs):
+    """An argv over the seven subcommands and their flags, mostly well
+    formed; shots and batches are bounded so that no run is large."""
+    files = st.sampled_from(inputs) | st.sampled_from(broken)
+    names = st.sampled_from(["bell2", "bell3", "sigmaE", "horodecki", "nope"])
+    numbers = _numbers()
+    params = {"--p": numbers, "--a": numbers}
+    options = {
+        "faithful": {"--file": files, "--catalog": names, "--tol": numbers, **params},
+        "entangle-check": {"--file": files, "--catalog": names, **params},
+        "extract": {"--mode": st.sampled_from(["strict", "pseudo", "exact"]),
+                    "--tol": numbers},
+        "predict": {"--probe": st.sampled_from(["0", "1", "plus", "minus", "L", "R", "Q"]),
+                    "--probe-file": files, "--tol": numbers},
+        "experiment": {"--shots": st.integers(-8, 10**5).map(str),
+                       "--batches": st.integers(-2, 1000).map(str),
+                       "--seed": st.integers(-2, 2**70).map(str),
+                       "--noise-1q": numbers, "--noise-2q": numbers, "--exact": None},
+        "bound-sweep": {"--a-grid": st.lists(numbers, max_size=4).map(",".join)},
+        "catalog": params,
+    }
+    positional = {"extract": st.tuples(files, files), "predict": st.tuples(files),
+                  "catalog": st.lists(names, max_size=1)}
+    command = draw(st.sampled_from(sorted(options)))
+    argv = []
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(outs))]
+    argv += [command, *draw(positional.get(command, st.just(())))]
+    flags = draw(st.lists(st.sampled_from(sorted(options[command])), max_size=4))
+    for flag in flags:
+        value = options[command][flag]
+        argv += [flag] if value is None else [flag, draw(value)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--help", "--bogus", "extra"])))
+    return argv
+
+
+class TestCliFuzz:
+    """Drawn argv lists and AAQPT_DEFAULT_TOL values end in a documented
+    exit code, never in a traceback."""
+
+    @settings(max_examples=150)
+    @given(data=st.data(), env_tol=st.one_of(st.none(), _numbers()))
+    def test_every_call_exits_with_a_documented_code(self, fuzz_files, data, env_tol):
+        argv = data.draw(_argv(*fuzz_files), label="argv")
+        env = {} if env_tol is None else {"AAQPT_DEFAULT_TOL": env_tol}
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            if env_tol is None:
+                os.environ.pop("AAQPT_DEFAULT_TOL", None)
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in stderr.getvalue()

@@ -349,15 +349,18 @@ class TestSpectralCore:
             assert call.args[0].shape == (2, batches, 4, 4)
             for call in values.call_args_list + solve.call_args_list:
                 assert call.args[0].dtype == np.float64 and call.args[0].shape[0] == batches
-        # the operator Schmidt decomposition and the kernel basis come from
-        # one full real SVD, after the values-only one of a fresh state
+        # the operator Schmidt decomposition and an unfaithful state's kernel
+        # basis come from one full real SVD, after the values-only one of a
+        # fresh state; a faithful state's empty basis takes no full SVD
         for make in (operator_schmidt, reachable_report):
-            for s in (faithful_random_state(3, rng), sigma_e(0.3), random_bipartite(3, 2, rng)):
+            states = (faithful_random_state(3, rng), sigma_e(0.3), random_bipartite(3, 2, rng))
+            for s, full in zip(states, (make is operator_schmidt, True, True)):
                 with mock.patch.object(realignment, "_svd", wraps=realignment._svd) as svd, \
                         mock.patch.object(extraction, "_svd", wraps=extraction._svd) as reduced:
                     make(s)
-                assert reduced.call_count == 0 and svd.call_count == 2
+                assert reduced.call_count == 0 and svd.call_count == 1 + full
                 assert all(call.args[0].dtype == np.float64 for call in svd.call_args_list)
+                assert svd.call_args_list[0].kwargs == {"compute_uv": False}
 
     def test_zero_threshold_keeps_round_off_singular_value(self):
         # horodecki's zero singular value comes out of the SVD as ~1e-17, so

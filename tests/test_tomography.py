@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import warnings
@@ -713,6 +714,38 @@ class TestRunExperiment:
         assert {d.status for d in details} == {"ok"}
         for d in details:
             assert np.isfinite([d.fidelity_in, d.fidelity_out, *d.probe_fidelities.values()]).all()
+
+
+class TestReportConstants:
+    """A batch's status and the report's generator name are class
+    constants: no field holds them and no constructor takes them."""
+
+    def test_constants_are_not_fields(self):
+        assert "status" not in {f.name for f in dataclasses.fields(tomo.BatchDetail)}
+        assert "rng_name" not in {f.name for f in dataclasses.fields(tomo.ExperimentReport)}
+
+    def test_constructors_refuse_the_constants(self):
+        report = run_experiment(shots=8, batches=2, seed=3)
+        detail = report.batch_details[0]
+        batch_args, report_args = (
+            {f.name: getattr(x, f.name) for f in dataclasses.fields(x)
+             if f.name not in ("status", "rng_name")}
+            for x in (detail, report)
+        )
+        assert tomo.BatchDetail(**batch_args) == detail
+        assert tomo.ExperimentReport(**report_args).rng_name == "pcg64"
+        with pytest.raises(TypeError):
+            tomo.BatchDetail(**batch_args, status="ok")
+        with pytest.raises(TypeError):
+            tomo.ExperimentReport(**report_args, rng_name="pcg64")
+
+    def test_instances_and_documents_read_the_constants(self):
+        report = run_experiment(shots=8, batches=2, seed=3)
+        assert report.rng_name == "pcg64"
+        assert [d.status for d in report.batch_details] == ["ok", "ok"]
+        doc = report_to_json(report)
+        assert doc["rng"] == "pcg64"
+        assert [d["status"] for d in doc["batch_details"]] == ["ok", "ok"]
 
 
 def clear_caches():

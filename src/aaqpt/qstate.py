@@ -155,18 +155,19 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _hermitian(a: np.ndarray) -> np.ndarray:
-    """The Hermitian part ``(a + a^dag)/2`` of each matrix of a stack, which
-    every Hermitian eigensolver reads: a added into a C-ordered copy of
-    ``a^dag`` and the sum halved in place (the values of the quotient by 2,
-    a zero's sign aside, with one new array where ``a + a^dag`` makes two,
-    in a quarter of its time at 144 x 144), or the halves where the sum
-    overflows: exactly Hermitian, finite if ``a`` is."""
+def _hermitian(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``(h, finite)``: the Hermitian part ``(a + a^dag)/2`` of each matrix of
+    a stack, which every Hermitian eigensolver reads, and whether it is
+    finite.  a is added into a C-ordered copy of ``a^dag``, halved in place
+    (one new array where ``a + a^dag`` makes two, a quarter of its time at
+    144 x 144, its values but a zero's sign), or taken in halves where the
+    sum overflows: exactly Hermitian, and finite exactly when ``a`` is."""
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.conjugate(a.swapaxes(-1, -2), order="C")
         h += a
         h *= 0.5
-        return h if np.isfinite(h).all() else a * 0.5 + _dagger(a) * 0.5
+        finite = np.isfinite(h).all()
+        return (h, True) if finite else (a * 0.5 + _dagger(a) * 0.5, np.isfinite(a).all())
 
 
 def _check_hermitian(a: np.ndarray, tol: float) -> None:
@@ -187,7 +188,7 @@ def _check_positive(a: np.ndarray, tol: float) -> None:
     tol*I``, a zero's sign aside) passes h at once; only without one do the
     eigenvalues decide, so the verdict differs from theirs only within
     round-off of ``-tol``.  A shift beyond the float range proves nothing."""
-    h = _hermitian(a)
+    h = _hermitian(a)[0]
     with np.errstate(over="ignore"):
         np.fill_diagonal(h, h.diagonal() + tol)
     try:
@@ -219,12 +220,12 @@ def _eigh(a: np.ndarray, vectors: bool = True):
     when LAPACK fails or the input (a NaN may yield finite values) or an
     eigenvalue is not finite."""
     routine = "eigh" if vectors else "eigvalsh"
-    h = _hermitian(a)
+    h, finite = _hermitian(a)
     try:
         out = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise AaqptError(f"{routine} did not converge: {exc}") from exc
-    if not (np.isfinite(h).all() and np.isfinite(out[0] if vectors else out).all()):
+    if not (finite and np.isfinite(out[0] if vectors else out).all()):
         raise AaqptError(f"{routine}: input or eigenvalues beyond the float range")
     return out
 

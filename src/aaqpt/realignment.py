@@ -200,11 +200,10 @@ def _natural(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def _correlation(s: BipartiteState) -> np.ndarray:
-    # the state is immutable, so its correlation matrix is built once, for
-    # every SVD and solve about it, and stored on it.  Being once per state,
-    # it keeps the public realign and its copies
+    # built once per state, from its validated matrix as it stands, for
+    # every SVD and solve about it, and stored on it (the state is immutable)
     if s._correlation is None:
-        c = _frozen(_correlations(realign(s), s.dim_a, s.dim_b))
+        c = _frozen(_correlations(_reshuffle(s.matrix, s.dim_a, s.dim_b), s.dim_a, s.dim_b))
         object.__setattr__(s, "_correlation", c)
     return s._correlation
 

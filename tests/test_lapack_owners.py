@@ -114,6 +114,16 @@ def test_non_finite_eigensolver_input_is_typed(bad, vectors):
         _eigh(np.array([[1.0, bad], [0.0, 1.0]]), vectors)
 
 
+@pytest.mark.parametrize("vectors", [True, False])
+def test_finite_eigensolver_input_is_scanned_once(vectors):
+    # _hermitian's scan of the Hermitian part decides finiteness for _eigh
+    # too; the other scan is of the eigenvalues
+    a = np.array([[2.0, 1j], [0.5, 1.0]])
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+        _eigh(a, vectors)
+    assert isfinite.call_count == 2
+
+
 def test_failed_lu_falls_back_to_the_reduced_svd():
     # a faithful square pair: LU solves it, and with LU failing the reduced
     # SVD gives the same M to round-off.  The bound 1e-13 is eps times the

@@ -502,7 +502,7 @@ class TestFidelity:
             m[np.triu_indices(d, 1)] += 1e-10 * (1 + 1j)
             rho = validate_density(m)
             sigma = validate_density(random_density_matrix(d, rng))
-            hermitian = validate_density(_hermitian(rho.matrix))
+            hermitian = validate_density(_hermitian(rho.matrix)[0])
             assert fidelity(rho, sigma) == fidelity(hermitian, sigma)
 
 

@@ -8,7 +8,9 @@ its formula, apart from ``catalog``; the float catalog entries and the
 ``is_faithful`` verdicts are then checked against it.  The boundary test
 mixes a kernel into a state by ``(1 - eps) rho_r + eps rho_full`` and finds
 the verdict change exactly where the smallest singular value crosses the
-threshold.
+threshold.  The known-rank family ``sum_{k<=r} w_k A_k (x) B_k`` of random
+states has realignment rank r by construction, before and after local
+unitaries.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ from hypothesis import given, strategies as st
 from aaqpt.catalog import horodecki, max_entangled, sigma_e
 from aaqpt.qstate import bipartite
 from aaqpt.realignment import is_faithful
+from aaqpt.sampling import random_density, random_unitary
 
 
 def exact_sigma_e(p: Fraction) -> list[list[Fraction]]:
@@ -131,3 +134,30 @@ def test_a_value_at_the_threshold_is_not_above_it(p):
     at = is_faithful(state, threshold=s_min)
     assert not at.faithful and at.kernel_dimension >= 1
     assert is_faithful(state, threshold=float(np.nextafter(s_min, 0.0))).faithful
+
+
+@st.composite
+def known_rank_states(draw):
+    """``(rho, r, U (x) V)`` for dA <= dB <= 6: ``rho = sum_{k<=r} w_k A_k (x)
+    B_k`` of random states and Dirichlet weights, whose realignment
+    ``sum_k w_k vec(A_k) vec(B_k)^T`` has rank r (the A_k, and the B_k, are
+    linearly independent almost surely), and a random local unitary."""
+    d_b = draw(st.integers(2, 6))
+    d_a = draw(st.integers(2, d_b))
+    r = draw(st.integers(1, d_a * d_a))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = [np.kron(random_density(d_a, rng).matrix, random_density(d_b, rng).matrix)
+             for _ in range(r)]
+    rho = bipartite(sum(w * t for w, t in zip(rng.dirichlet(np.ones(r)), terms)), d_a, d_b)
+    return rho, r, np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
+
+
+@given(known_rank_states())
+def test_known_rank_family_reads_its_rank(case):
+    rho, r, local = case
+    turned = bipartite(local @ rho.matrix @ local.conj().T, rho.dim_a, rho.dim_b)
+    for state in (rho, turned):
+        verdict = is_faithful(state)
+        assert verdict.spectrum.rank == r
+        assert verdict.kernel_dimension == rho.dim_a**2 - r
+        assert verdict.faithful == (r == rho.dim_a**2)

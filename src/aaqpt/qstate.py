@@ -156,18 +156,18 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``(h, finite)``: the Hermitian part ``(a + a^dag)/2`` of each matrix of
-    a stack, which every Hermitian eigensolver reads, and whether it is
-    finite.  a is added into a C-ordered copy of ``a^dag``, halved in place
-    (one new array where ``a + a^dag`` makes two, a quarter of its time at
-    144 x 144, its values but a zero's sign), or taken in halves where the
-    sum overflows: exactly Hermitian, and finite exactly when ``a`` is."""
+    """``(h, finite)``: ``(a + a^dag)/2`` of each matrix of a stack, the input
+    of every Hermitian eigensolver, and whether it is finite.  a is added into
+    a C-ordered copy of ``a^dag`` and halved in place (one new array, in a
+    quarter of the time, a zero's sign aside), or halved first on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.conjugate(a.swapaxes(-1, -2), order="C")
         h += a
         h *= 0.5
-        finite = np.isfinite(h).all()
-        return (h, True) if finite else (a * 0.5 + _dagger(a) * 0.5, np.isfinite(a).all())
+        if np.isfinite(h).all():
+            return h, True
+        h = a * 0.5 + _dagger(a) * 0.5
+        return h, np.isfinite(h).all()
 
 
 def _check_hermitian(a: np.ndarray, tol: float) -> None:

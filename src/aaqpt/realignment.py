@@ -200,10 +200,10 @@ def _natural(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def _correlation(s: BipartiteState) -> np.ndarray:
-    # built once per state, from its validated matrix as it stands, for
-    # every SVD and solve about it, and stored on it (the state is immutable)
+    # built once per state (it is immutable) for every SVD and solve about it
+    # and stored on it; being once per state, it keeps the public realign
     if s._correlation is None:
-        c = _frozen(_correlations(_reshuffle(s.matrix, s.dim_a, s.dim_b), s.dim_a, s.dim_b))
+        c = _frozen(_correlations(realign(s), s.dim_a, s.dim_b))
         object.__setattr__(s, "_correlation", c)
     return s._correlation
 

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from aaqpt import extraction, qstate, realignment, tomography
+from aaqpt import extraction, realignment, tomography
 from aaqpt.catalog import PAULI_X, horodecki, max_entangled, probe_states, sigma_e
 from aaqpt.channel import apply, apply_extended, make_channel, propagate, superoperator
 from aaqpt.errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
@@ -335,24 +335,6 @@ class TestSpectralCore:
             reachable_report(s)
             operator_schmidt(s)
         assert sum(build.call_count for build in builds) == 2
-
-    def test_decompositions_read_the_validated_matrix(self):
-        # bipartite validated each state's matrix when it made the state, so
-        # no decomposition copies or scans it again through qstate._numbers
-        rng = np.random.default_rng(88)
-        s, unfaithful = faithful_random_state(3, rng), sigma_e(0.3)
-        pairs = [(x, apply_extended(random_channel(3, 2, rng), x)) for x in (s, unfaithful)]
-        states = [s, s, s, unfaithful, s] + [x for pair in pairs for x in pair]
-        fresh = [bipartite(x.matrix, 3, 3) for x in states]
-        with mock.patch.object(qstate, "_numbers", wraps=qstate._numbers) as numbers:
-            is_faithful(fresh[0])
-            ccnr_sum(fresh[1])
-            reachable_report(fresh[2])
-            reachable_report(fresh[3])
-            operator_schmidt(fresh[4])
-            extract(fresh[5], fresh[6])
-            extract(fresh[7], fresh[8], mode="pseudo")
-        assert numbers.call_count == 0
 
     def test_spectrum_and_solve_run_in_real_arithmetic(self):
         rng = np.random.default_rng(86)

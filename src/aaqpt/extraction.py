@@ -30,6 +30,7 @@ with identical outputs on the state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from .channel import (
     apply_extended,
     kraus_from_choi,
 )
-from .errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
+from .errors import AaqptError, DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
 from .catalog import max_entangled, probe_states
 from .qstate import BipartiteState, trace_distance, _eigh, _frozen, _linear_solve, _real, _svd
 from .realignment import (
@@ -63,9 +64,10 @@ class ExtractionResult:
     ``residual`` is ``max|realign(out) - m @ realign(in)|`` on the Hermitian
     parts of the two states -- how well the data is explained;
     ``truncated_count`` is the number of singular values dropped by the
-    pseudo-inverse (always 0 in strict mode).  The eigenvalues
-    of the reshuffled Choi matrix quantify how far the raw map is from a
-    completely positive one; the map is reported raw, not projected.
+    pseudo-inverse (always 0 in strict mode).  ``choi_eigenvalues``, the
+    eigenvalues of the reshuffled Choi matrix, quantify how far the raw map
+    is from a completely positive one; the map is reported raw, not
+    projected.  They are computed on first read and cached, read-only.
     """
 
     m: Superoperator
@@ -73,7 +75,11 @@ class ExtractionResult:
     input_spectrum: SingularSpectrum
     residual: float
     truncated_count: int
-    choi_eigenvalues: np.ndarray
+
+    @functools.cached_property
+    def choi_eigenvalues(self) -> np.ndarray:
+        d = self.m.dim
+        return _frozen(_eigh(_reshuffle(self.m.matrix, d, d), vectors=False))
 
 
 @dataclass(frozen=True)
@@ -129,13 +135,18 @@ def _solve(c_in: np.ndarray, c_out: np.ndarray, ranks: np.ndarray | None = None)
     (B, dA^2, dB^2) of the pairs' real correlation matrices, solved as the
     module docstring says; the residual ``c_out - M_r @ c_in`` stays real.
     Without ``ranks``, the rank rule at the default threshold sets them from
-    one stacked SVD of ``c_in``, as pseudo-mode :func:`extract` would."""
+    one stacked SVD of ``c_in``, as pseudo-mode :func:`extract` would.
+    AaqptError when M is beyond the float range."""
     rows = c_in.shape[-2]
     if ranks is None:
         ranks, _ = _ranks(_svd(c_in, compute_uv=False), rows)
     m = _right_solve(c_in, c_out, ranks)
     d_a = math.isqrt(rows)
-    return _natural(m, d_a, d_a), c_out - m @ c_in
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_natural, residual = _natural(m, d_a, d_a), c_out - m @ c_in
+    if not np.isfinite(m_natural).all():
+        raise AaqptError("extracted map beyond the float range")
+    return m_natural, residual
 
 
 def extract(
@@ -173,7 +184,6 @@ def extract(
         input_spectrum=spectrum,
         residual=float(np.abs(_natural(residual, d, d_b)).max()),
         truncated_count=spectrum.values.size - rank,
-        choi_eigenvalues=_frozen(_eigh(_reshuffle(m, d, d), vectors=False)),
     )
 
 

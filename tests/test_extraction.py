@@ -15,10 +15,11 @@ from aaqpt.extraction import (
     kernel_witness_pair,
     reachable_report,
 )
-from aaqpt.qstate import bipartite, tensor, trace_distance
+from aaqpt.qstate import _eigh, bipartite, tensor, trace_distance
 from aaqpt.realignment import (
     _correlations,
     _natural,
+    _reshuffle,
     ccnr_sum,
     is_faithful,
     operator_schmidt,
@@ -183,6 +184,37 @@ class TestExtract:
         result = extract(bell, out, mode="strict")
         # the reference map is completely positive: Choi eigenvalues {0,0,1,1}
         assert np.allclose(np.sort(result.choi_eigenvalues), [0, 0, 1, 1], atol=1e-10)
+
+    def test_choi_spectrum_is_computed_on_first_read(self):
+        rng = np.random.default_rng(86)
+        s = faithful_random_state(3, rng)
+        out = apply_extended(random_channel(3, 2, rng), s)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            result = extract(s, out)
+            assert eigvalsh.call_count == 0
+            values = result.choi_eigenvalues
+            assert eigvalsh.call_count == 1
+            assert result.choi_eigenvalues is values
+            assert eigvalsh.call_count == 1
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("branch", ["stacked-lu", "zero-pivot", "reduced-svd"])
+    def test_choi_spectrum_is_that_of_the_extracted_map(self, branch):
+        # each branch of _right_solve, told apart by its LU and SVD calls:
+        # the spectrum read later is the one extract used to compute
+        rng = np.random.default_rng(87)
+        s, mode, threshold, lu, svd = {
+            "stacked-lu": (faithful_random_state(3, rng), "strict", None, 1, 0),
+            "zero-pivot": (horodecki(0.4), "strict", 0.0, 1, 1),
+            "reduced-svd": (random_bipartite(3, 2, rng), "pseudo", None, 0, 1),
+        }[branch]
+        out = apply_extended(random_channel(3, 2, rng), s)
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
+                mock.patch.object(extraction, "_svd", wraps=extraction._svd) as reduced:
+            result = extract(s, out, mode, threshold)
+        assert (solve.call_count, reduced.call_count) == (lu, svd)
+        fresh = _eigh(_reshuffle(result.m.matrix, 3, 3), vectors=False)
+        assert result.choi_eigenvalues.tobytes() == fresh.tobytes()
 
 
     @pytest.mark.parametrize("threshold", [-1.0, float("nan"), float("inf")])

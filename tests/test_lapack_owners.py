@@ -6,6 +6,7 @@ the caller takes.  A ``LinAlgError`` injected into LAPACK must therefore
 reach a public caller as a typed error, never bare."""
 
 import ast
+import json
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,7 @@ from aaqpt.extraction import extract
 from aaqpt.qstate import _eigh, fidelity, validate_density
 from aaqpt.realignment import is_faithful, ppt_min_eigenvalue, singular_spectrum
 from aaqpt.sampling import random_bipartite, random_channel
+from aaqpt.serialize import state_to_json
 from aaqpt.tomography import project_to_state
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aaqpt"
@@ -80,6 +82,7 @@ def test_svd_failure_is_typed(call):
 
 RHO = validate_density(np.diag([0.75, 0.25]))
 CHOI = 2 * max_entangled(2).matrix
+BELL = max_entangled(2)
 
 
 @pytest.mark.parametrize("routine, call", [
@@ -90,8 +93,10 @@ CHOI = 2 * max_entangled(2).matrix
     ("eigh", lambda: project_to_state(np.diag([1.2, -0.2]))),
     # a state that fails the Cholesky test, whose eigenvalues then decide
     ("eigvalsh", lambda: validate_density(np.diag([1.5, -0.5]))),
+    # extract itself runs no eigensolver; the Choi spectrum's first read does
+    ("eigvalsh", lambda: extract(BELL, BELL).choi_eigenvalues),
 ], ids=["fidelity-root", "fidelity", "ppt_min_eigenvalue", "kraus_from_choi",
-        "project_to_state", "validate_density"])
+        "project_to_state", "validate_density", "choi_eigenvalues"])
 def test_eigensolver_failure_is_typed(routine, call):
     with mock.patch.object(np.linalg, routine, failing), \
             pytest.raises(AaqptError, match=f"{routine} did not converge: injected failure"):
@@ -147,9 +152,37 @@ def test_failed_lu_falls_back_to_the_reduced_svd():
             extract(s, out)
 
 
+@pytest.mark.parametrize("mode", ["strict", "pseudo"])
+@pytest.mark.parametrize("fill", [np.inf, 1e308])
+def test_solve_beyond_the_float_range_is_typed(fill, mode):
+    # a 1e308 fill is finite in the real basis and overflows only when M is
+    # taken back to the natural one, so the natural M is what is tested;
+    # neither fill may escape as an overflow or invalid-value warning
+    rng = np.random.default_rng(0)
+    s = random_bipartite(3, 3, rng)
+    out = apply_extended(random_channel(3, 2, rng), s)
+    with mock.patch.object(np.linalg, "solve", lambda a, b: np.full_like(b, fill)), \
+            pytest.raises(AaqptError, match="extracted map beyond the float range"):
+        extract(s, out, mode)
+
+
 def test_cli_reports_a_failed_eigensolver(capsys):
     with mock.patch.object(np.linalg, "eigvalsh", failing):
         assert cli.main(["entangle-check", "--catalog", "sigmaE"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: eigvalsh did not converge: injected failure\n"
+
+
+def test_cli_reports_a_failed_choi_spectrum(capsys, tmp_path):
+    # the extraction document reads the spectrum before anything is written
+    paths = [tmp_path / name for name in ("in.json", "out.json", "doc.json")]
+    for path in paths[:2]:
+        path.write_text(json.dumps(state_to_json(BELL)))
+    in_file, out_file, doc = map(str, paths)
+    with mock.patch.object(np.linalg, "eigvalsh", failing):
+        assert cli.main(["--out", doc, "extract", in_file, out_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigvalsh did not converge: injected failure\n"
+    assert not paths[2].exists()

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from aaqpt import serialize
-from aaqpt.catalog import PAULI_X, max_entangled, sigma_e
+from aaqpt import cli, serialize
+from aaqpt.catalog import PAULI_X, horodecki, max_entangled, sigma_e
 from aaqpt.channel import make_channel, superoperator
 from aaqpt.errors import FileFormatError, NotUnitTraceError
 from aaqpt.qstate import validate_density
@@ -210,6 +210,23 @@ class TestDocumentPayloads:
         }
         assert set(doc["inputSpectrum"]) == {"values", "sum", "rank", "threshold"}
         json.dumps(doc)
+
+    @pytest.mark.parametrize("mode", ["strict", "pseudo"])
+    def test_extraction_document_does_not_depend_on_read_order(self, mode, tmp_path, capsys):
+        # the Choi spectrum is computed when first read: before the document
+        # is built, while it is built, or by the CLI, the bytes are the same
+        s = random_bipartite(3, 3, 21) if mode == "strict" else horodecki(0.4)
+        out = apply_extended(random_channel(3, 2, 22), s)
+        unread = serialize.extraction_to_json(extract(s, out, mode))
+        result = extract(s, out, mode)
+        assert result.choi_eigenvalues.size == 9
+        assert json.dumps(serialize.extraction_to_json(result)) == json.dumps(unread)
+        files = [tmp_path / "in.json", tmp_path / "out.json"]
+        for path, state in zip(files, (s, out)):
+            path.write_text(json.dumps(serialize.state_to_json(state)))
+        argv = ["--json", "extract", *map(str, files), "--mode", mode]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(unread, indent=2) + "\n"
 
     def test_report_document_keys(self):
         rep = run_experiment(shots=0, batches=1, seed=1, exact=True)

@@ -620,9 +620,11 @@ class TestRunExperiment:
         for rho in report.rho_in_estimates:
             assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-10)
 
-    def test_exact_batches_computed_once(self, monkeypatch):
-        import aaqpt.tomography as tomo
-
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(0.01, 0.03), NoiseModel(0.2, 0.3)])
+    def test_exact_batches_run_through_the_stacks(self, monkeypatch, noise):
+        # every exact batch reads the Born tables and runs through the same
+        # stacks as a sampled batch: one solve on a stack of all batches,
+        # each equal bit for bit to batch 0 and to a one-batch run
         real_solve = tomo._solve
         calls = []
 
@@ -631,15 +633,19 @@ class TestRunExperiment:
             return real_solve(c_in, c_out, *args)
 
         monkeypatch.setattr(tomo, "_solve", recording_solve)
-        report = tomo.run_experiment(shots=0, batches=5, seed=3, exact=True)
-        # one solve, on a stack of one batch
-        assert calls == [((1, 4, 4), (1, 4, 4))]
-        single = tomo.run_experiment(shots=0, batches=1, seed=3, exact=True)
+        report = tomo.run_experiment(shots=1280, batches=5, seed=3, noise=noise, exact=True)
+        assert calls == [((5, 4, 4), (5, 4, 4))]
+        [single] = tomo.run_experiment(shots=1280, batches=1, seed=3, noise=noise,
+                                       exact=True).batch_details
         assert [d.batch for d in report.batch_details] == [0, 1, 2, 3, 4]
-        assert report.fidelity_in.mean == pytest.approx(single.fidelity_in.mean, rel=0, abs=1e-15)
-        assert report.fidelity_out.mean == pytest.approx(single.fidelity_out.mean, rel=0, abs=1e-15)
-        for name, mb in report.probe_fidelities.items():
-            assert mb.mean == pytest.approx(single.probe_fidelities[name].mean, rel=0, abs=1e-15)
+
+        def fields(d):
+            scores = [d.fidelity_in, d.fidelity_out, *d.probe_fidelities.values()]
+            return (np.array(scores).tobytes(), list(d.probe_fidelities),
+                    d.rho_in.matrix.tobytes(), d.rho_out.matrix.tobytes(), d.seed)
+
+        for d in report.batch_details:
+            assert fields(d) == fields(report.batch_details[0]) == fields(single)
 
     def test_unphysical_probe_prediction_still_scores(self, monkeypatch):
         # batch 2 of this one-shot run extracts a map whose prediction for
@@ -906,9 +912,8 @@ class TestStackedExperiment:
         monkeypatch.setattr(tomo, "_solve", recording_solve)
         report = tomo.run_experiment(shots, batches, seed, noise, exact=exact)
         [(c_in, c_out, m)] = calls
-        assert len(m) == (1 if exact else batches)
-        for d in report.batch_details:
-            b = 0 if exact else d.batch
+        assert len(m) == batches
+        for b, d in enumerate(report.batch_details):
             # the stacks solved are the reported states' correlation matrices
             for c, rho in ((c_in, d.rho_in), (c_out, d.rho_out)):
                 assert np.array_equal(c[b], _correlations(realign_matrix(rho.matrix, 2, 2), 2, 2))

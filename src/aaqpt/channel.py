@@ -64,10 +64,6 @@ class ChoiMatrix:
     dim: int
     matrix: np.ndarray
 
-    def normalized(self) -> np.ndarray:
-        """The trace-one variant ``matrix / dim``."""
-        return self.matrix / self.dim
-
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -230,7 +226,11 @@ def propagate(m: Superoperator, sigma) -> np.ndarray:
     return devectorize(m.matrix @ vectorize(a))
 
 
-def predict_output(m: Superoperator, sigma: DensityMatrix, tol: float = 1e-7) -> DensityMatrix:
+# predict's physicality tolerance, for the library and the CLI alike
+_PREDICT_TOL = 1e-7
+
+
+def predict_output(m: Superoperator, sigma: DensityMatrix, tol: float = _PREDICT_TOL) -> DensityMatrix:
     """Predicted channel output for a probe state.
 
     The default tolerance is deliberately looser than the validation default:

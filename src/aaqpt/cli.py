@@ -22,7 +22,7 @@ import numpy as np
 
 from . import serialize
 from .catalog import PROBE_NAMES_QUBIT, horodecki, max_entangled, probe_states, sigma_e
-from .channel import predict_output
+from .channel import predict_output, _PREDICT_TOL
 from .errors import AaqptError, FileFormatError, NotFaithfulError
 from .extraction import extract
 from .qstate import DEFAULT_TOL, BipartiteState, purity, _check_tol
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", help="superoperator (or extraction result) JSON file")
     p.add_argument("--probe", choices=PROBE_NAMES_QUBIT, help="named qubit probe")
     p.add_argument("--probe-file", help="probe density matrix JSON file")
-    p.add_argument("--tol", type=float, default=1e-7, help="physicality tolerance for the prediction")
+    p.add_argument("--tol", type=float, default=_PREDICT_TOL, help="physicality tolerance for the prediction")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("experiment", help="run the simulated tomography experiment")

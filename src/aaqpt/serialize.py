@@ -31,7 +31,8 @@ from .channel import KrausChannel, Superoperator, make_channel
 from .errors import FileFormatError
 from .extraction import ExtractionResult
 from .qstate import (
-    DEFAULT_TOL, BipartiteState, DensityMatrix, as_matrix, bipartite, validate_density, _integer_in
+    DEFAULT_TOL, BipartiteState, DensityMatrix, as_matrix, bipartite, validate_density,
+    _frozen, _integer_in,
 )
 from .realignment import FaithfulnessVerdict, SingularSpectrum
 from .tomography import ExperimentReport
@@ -138,7 +139,7 @@ def superop_from_json(obj) -> Superoperator:
         raise FileFormatError(
             f"superoperator of dim {d} needs shape {(d * d, d * d)}, got {a.shape}"
         )
-    return Superoperator(dim=d, matrix=a)
+    return Superoperator(dim=d, matrix=_frozen(a))
 
 
 def spectrum_to_json(sp: SingularSpectrum) -> dict:

@@ -218,18 +218,6 @@ class ExperimentReport:
     probe_fidelities: dict[str, MeanBand]
     batch_details: tuple[BatchDetail, ...] = field(repr=False)
 
-    @property
-    def shots_per_batch(self) -> int:
-        return self.shots // self.batches if self.batches else 0
-
-    @property
-    def rho_in_estimates(self) -> tuple[DensityMatrix, ...]:
-        return tuple(b.rho_in for b in self.batch_details)
-
-    @property
-    def rho_out_estimates(self) -> tuple[DensityMatrix, ...]:
-        return tuple(b.rho_out for b in self.batch_details)
-
 
 @functools.cache
 def experiment_circuits() -> tuple[Circuit, Circuit]:

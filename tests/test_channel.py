@@ -132,7 +132,7 @@ class TestChoi:
         choi = choi_state(make_channel([I2]))
         assert np.allclose(choi.matrix, max_entangled(2, normalized=False), atol=1e-14)
         assert np.trace(choi.matrix) == pytest.approx(2.0)
-        assert np.allclose(choi.normalized(), max_entangled(2).matrix, atol=1e-14)
+        assert np.allclose(choi.matrix / choi.dim, max_entangled(2).matrix, atol=1e-14)
 
     def test_bitflip_choi_rank_two(self):
         ch = bitflip_channel()
@@ -331,6 +331,18 @@ class TestPredictOutput:
         bad = Superoperator(dim=2, matrix=np.diag([3.0, 0.0, 0.0, 0.0]))
         with pytest.raises(NotPhysicalError):
             predict_output(bad, validate_density(np.eye(2) / 2))
+
+    def test_default_tolerance_rejects_a_negative_eigenvalue_of_1e_6(self):
+        # M moves 1e-6 of |0><0| into a negative |1><1| weight: the probe
+        # "0" predicts diag(1 + 1e-6, -1e-6), which the default 1e-7 rejects
+        v00, v11 = vectorize(np.diag([1.0, 0.0])), vectorize(np.diag([0.0, 1.0]))
+        m = Superoperator(dim=2, matrix=np.eye(4) + 1e-6 * np.outer(v00 - v11, v00))
+        probe = validate_density(np.outer(KET0, KET0))
+        assert np.abs(propagate(m, probe.matrix) - np.diag([1 + 1e-6, -1e-6])).max() < 1e-15
+        with pytest.raises(NotPhysicalError, match="min eigenvalue = -1.000e-06"):
+            predict_output(m, probe)
+        accepted = predict_output(m, probe, tol=1e-5)
+        assert np.abs(accepted.matrix - np.diag([1 + 1e-6, -1e-6])).max() < 1e-15
 
     def test_propagate_matches_apply(self):
         rng = np.random.default_rng(52)

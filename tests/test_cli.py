@@ -299,6 +299,15 @@ class TestExperimentCommand:
         for probe in doc["probes"].values():
             assert probe["mean"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_exact_mode_reports_no_shots(self, capsys):
+        # an exact run reads the Born tables and draws nothing, whatever
+        # --shots says
+        code, doc = run_json(capsys, ["experiment", "--exact", "--shots", "1024"])
+        assert code == 0
+        assert doc["shots"] == 0
+        assert doc["exact"] is True
+        assert all(detail["seed"] is None for detail in doc["batch_details"])
+
     def test_seeded_run_deterministic(self, capsys):
         code_a, doc_a = run_json(
             capsys, ["experiment", "--shots", "2560", "--batches", "5", "--seed", "7"]

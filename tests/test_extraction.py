@@ -10,6 +10,7 @@ from aaqpt.channel import apply, apply_extended, make_channel, propagate, supero
 from aaqpt.errors import DimensionMismatchError, NotFaithfulError, ParameterOutOfRangeError
 from aaqpt.extraction import (
     _right_solve,
+    _solve,
     demonstrate_unfaithfulness,
     extract,
     kernel_witness_pair,
@@ -17,6 +18,7 @@ from aaqpt.extraction import (
 )
 from aaqpt.qstate import _eigh, bipartite, tensor, trace_distance
 from aaqpt.realignment import (
+    _correlation,
     _correlations,
     _natural,
     _reshuffle,
@@ -286,6 +288,15 @@ class TestDemonstrateUnfaithfulness:
         assert 1e-9 < rep.output_gap < 1e-6 and rep.channel_gap > 0.01
         assert not rep.witnessed
 
+    def test_a_channel_gap_between_the_bounds_is_no_witness(self):
+        # strength 0.015 opens a channel gap of 0.005 on sigma_e(0.5): the
+        # channels differ, but by less than the 1e-2 a witness needs
+        s = sigma_e(0.5)
+        rep = demonstrate_unfaithfulness(s, *kernel_witness_pair(s, strength=0.015))
+        assert rep.output_gap < 1e-9
+        assert rep.channel_gap == pytest.approx(0.005, rel=1e-12)
+        assert not rep.witnessed
+
     def test_faithful_state_separates_distinct_channels(self):
         rng = np.random.default_rng(77)
         bell = max_entangled(2)
@@ -321,6 +332,25 @@ class TestKernelWitnessPair:
     def test_rejects_bad_strength(self):
         with pytest.raises(ParameterOutOfRangeError, match="strength"):
             kernel_witness_pair(sigma_e(0.5), mixing=0.2, strength=0.5)
+
+    @pytest.mark.parametrize("mixing", [0.2, 0.6, 0.9])
+    @pytest.mark.parametrize("state, divisor", [
+        pytest.param(sigma_e(0.5), 3, id="sigma_e"), pytest.param(horodecki(0.5), 2, id="horodecki")
+    ])
+    def test_default_strength_sets_the_channel_gap(self, state, divisor, mixing):
+        # the default strength is 0.9 mixing / d, and the pair's channel gap
+        # is that strength over 3 on sigma_e(0.5), over 2 on horodecki(0.5)
+        rep = demonstrate_unfaithfulness(state, *kernel_witness_pair(state, mixing=mixing))
+        assert rep.channel_gap == pytest.approx(0.9 * mixing / 3 / divisor, rel=1e-12)
+        assert rep.witnessed
+
+    @pytest.mark.parametrize("mixing", [0.2, 0.6, 0.9])
+    def test_strength_is_bounded_by_mixing_over_d(self, mixing):
+        s = sigma_e(0.5)
+        rep = demonstrate_unfaithfulness(s, *kernel_witness_pair(s, mixing, mixing / 3))
+        assert rep.witnessed
+        with pytest.raises(ParameterOutOfRangeError, match="strength"):
+            kernel_witness_pair(s, mixing=mixing, strength=1.01 * mixing / 3)
 
     def test_works_on_bound_entangled_family(self):
         s = horodecki(0.5)
@@ -448,6 +478,20 @@ class TestSpectralCore:
             alone = _right_solve(c_in[b : b + 1], c_out[b : b + 1], ranks[b : b + 1])
             assert np.array_equal(stacked[b], alone[0])
             assert np.array_equal(_natural(stacked[b], 3, 3), result.m.matrix)
+
+    def test_mixed_rank_stack_solves_each_pair_at_its_own_rank(self):
+        # two faithful pairs, the second truncated to rank 8 by an explicit
+        # rank: no exact zero pivot sends the stack to the per-pair path, so
+        # only the rank test keeps the stacked LU off the truncated pair
+        ch = random_channel(3, seed=7)
+        states = [random_bipartite(3, 3, seed=seed) for seed in (6, 8)]
+        pairs = [(_correlation(s), _correlation(apply_extended(ch, s))) for s in states]
+        c_in, c_out = (np.array(c) for c in zip(*pairs))
+        ranks = np.array([9, 8])
+        stacked, _ = _solve(c_in, c_out, ranks)
+        for b, (pair_in, pair_out) in enumerate(pairs):
+            (alone,), _ = _solve(pair_in[None], pair_out[None], ranks[b : b + 1])
+            assert np.array_equal(stacked[b], alone)
 
     @pytest.mark.parametrize("threshold", [None, 1e-3])
     def test_one_rank_decision(self, threshold):

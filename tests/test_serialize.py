@@ -133,6 +133,14 @@ class TestSuperoperatorFormat:
         assert back.dim == 2
         assert np.array_equal(back.matrix, m.matrix)
 
+    def test_loaded_matrix_is_read_only(self):
+        # as superoperator() and extract() leave theirs
+        m = superoperator(make_channel([np.eye(2)]))
+        back = serialize.superop_from_json(serialize.superop_to_json(m))
+        assert not back.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.matrix[0, 0] = 2.0
+
     def test_shape_checked(self):
         with pytest.raises(FileFormatError):
             serialize.superop_from_json(

@@ -614,11 +614,11 @@ class TestRunExperiment:
 
     def test_estimates_exposed(self):
         report = run_experiment(shots=1280, batches=2, seed=15)
-        assert len(report.rho_in_estimates) == 2
-        assert len(report.rho_out_estimates) == 2
-        assert report.shots_per_batch == 640
-        for rho in report.rho_in_estimates:
-            assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-10)
+        assert len(report.batch_details) == 2
+        assert report.shots // report.batches == 640
+        for detail in report.batch_details:
+            assert detail.rho_in.dim == detail.rho_out.dim == 4
+            assert np.trace(detail.rho_in.matrix) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(0.01, 0.03), NoiseModel(0.2, 0.3)])
     def test_exact_batches_run_through_the_stacks(self, monkeypatch, noise):
